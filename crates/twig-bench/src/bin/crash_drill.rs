@@ -270,14 +270,14 @@ fn drill_batch(
 /// Fleet mode: crash `twig-cli fleet run` at each point, rerun into the
 /// same directories (stealing the dead lock, cold-opening the state
 /// store), and compare the fleet manifest against an uncrashed reference
-/// at the same worker count.
+/// at the same thread count.
 fn drill_fleet(
     twig_cli: &Path,
     root: &Path,
     workers: usize,
     drilled: &mut BTreeSet<&'static str>,
 ) {
-    let fleet_workers = ("TWIG_FLEET_WORKERS", workers.to_string());
+    let threads = ("TWIG_NUM_THREADS", workers.to_string());
     let clean = root.join(format!("fleet-w{workers}-clean"));
     let fleet_args = |out: &Path, state: &Path| {
         vec![
@@ -290,7 +290,7 @@ fn drill_fleet(
         ]
     };
     run_expect(
-        scrubbed(twig_cli, std::slice::from_ref(&fleet_workers))
+        scrubbed(twig_cli, std::slice::from_ref(&threads))
             .args(fleet_args(&clean, &clean.join("state"))),
         0,
         &format!("fleet w{workers} clean run"),
@@ -303,14 +303,14 @@ fn drill_fleet(
         run_expect(
             scrubbed(
                 twig_cli,
-                &[fleet_workers.clone(), ("TWIG_CRASH_SPEC", point.to_string())],
+                &[threads.clone(), ("TWIG_CRASH_SPEC", point.to_string())],
             )
             .args(fleet_args(&out, &state)),
             CRASH_EXIT_CODE,
             &format!("{what} crash run"),
         );
         run_expect(
-            scrubbed(twig_cli, std::slice::from_ref(&fleet_workers)).args(fleet_args(&out, &state)),
+            scrubbed(twig_cli, std::slice::from_ref(&threads)).args(fleet_args(&out, &state)),
             0,
             &format!("{what} recovery run"),
         );

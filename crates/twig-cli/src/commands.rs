@@ -752,9 +752,9 @@ mod tests {
                 .to_json()
                 .unwrap()
         };
-        let clean = twig_fleet::run_fleet(&tenants, &config).unwrap().manifest;
-        let again = twig_fleet::run_fleet(&tenants, &config).unwrap().manifest;
-        let spiked = twig_fleet::run_fleet(&tenants, &spiked_config).unwrap().manifest;
+        let clean = twig_fleet::run_fleet(&tenants, &config).unwrap();
+        let again = twig_fleet::run_fleet(&tenants, &config).unwrap();
+        let spiked = twig_fleet::run_fleet(&tenants, &spiked_config).unwrap();
         std::fs::write(p("clean.json"), series_of(&clean, "svc-bravo")).unwrap();
         std::fs::write(p("again.json"), series_of(&again, "svc-bravo")).unwrap();
         std::fs::write(p("spiked.json"), series_of(&spiked, "svc-bravo")).unwrap();

@@ -2,10 +2,9 @@
 //! its manifest.
 //!
 //! `fleet run` executes the demo fleet under the typed harness
-//! configuration (`TWIG_FLEET_*`, `TWIG_FAULT_SPEC`) and writes the
-//! deterministic `fleet_manifest.json`; the (timing-dependent) service
-//! counters go to stderr so the manifest stays byte-comparable.
-//! `fleet report` renders a manifest as a per-tenant health table.
+//! configuration (`TWIG_FLEET_MAX_GENERATIONS`, `TWIG_FAULT_SPEC`) and
+//! writes the deterministic `fleet_manifest.json`. `fleet report`
+//! renders a manifest as a per-tenant health table.
 
 use std::sync::Arc;
 
@@ -59,12 +58,11 @@ fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
         eprintln!("recovered crash residue: {healed}");
     }
 
-    let outcome = run_fleet(&TenantSpec::demo_fleet(tenants), &config)
+    let manifest = run_fleet(&TenantSpec::demo_fleet(tenants), &config)
         .map_err(CliError::Invalid)?;
 
     let path = format!("{out_dir}/fleet_manifest.json");
-    let json = outcome
-        .manifest
+    let json = manifest
         .to_json()
         .map_err(|e| CliError::Invalid(format!("serialize manifest: {e}")))?;
     twig_sched::publish_atomic(
@@ -75,7 +73,6 @@ fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
     )
     .map_err(|e| CliError::io("write", &path, e))?;
 
-    let manifest = &outcome.manifest;
     println!(
         "fleet: {} tenant(s), {} generation(s), converged={}",
         manifest.tenants.len(),
@@ -83,13 +80,6 @@ fn cmd_run(args: &Args<'_>) -> Result<(), CliError> {
         manifest.converged
     );
     println!("manifest written to {path}");
-    // Service counters are timing/worker-count dependent: stderr only,
-    // never in the manifest.
-    let stats = &outcome.service;
-    eprintln!(
-        "service: submitted={} completed={} failed={} backpressure_waits={}",
-        stats.submitted, stats.completed, stats.failed, stats.backpressure_waits
-    );
     Ok(())
 }
 

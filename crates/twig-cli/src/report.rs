@@ -9,10 +9,12 @@
 //! human tables for a machine-readable digest
 //! (`docs/schema/report-v1.json`). `twig metrics regress`
 //! compares a directory of fresh snapshots against checked-in baselines
-//! with per-metric relative thresholds and exits 1 on any regression,
+//! with the sentinel's per-metric relative thresholds
+//! ([`twig_obs::sentinel`]) and exits 1 on any regression,
 //! optionally appending the run's derived series to a trajectory file
 //! (`BENCH_trajectory.json`).
 
+use twig_obs::sentinel::{Headline, Verdict, METRICS};
 use twig_obs::{AttributionSnapshot, MetricsSnapshot, MissKind, TimelineSnapshot};
 use twig_serde::{Deserialize, Serialize};
 
@@ -54,26 +56,13 @@ fn stem(path: &str) -> String {
 // Derived headline metrics
 // ---------------------------------------------------------------------------
 
-/// The headline figures the sentinel tracks, derived from one snapshot.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct Derived {
-    /// Retired instructions per cycle.
-    pub ipc: f64,
-    /// BTB misses per kilo-instruction.
-    pub btb_mpki: f64,
-    /// Fraction of BTB misses covered by the active prefetcher.
-    pub coverage: f64,
-    /// Total simulated cycles.
-    pub cycles: u64,
-}
-
 fn require_counter(snap: &MetricsSnapshot, path: &str, name: &str) -> Result<u64, CliError> {
     snap.counter(name)
         .ok_or_else(|| CliError::Invalid(format!("{path}: missing counter {name}")))
 }
 
 /// Derives the sentinel metrics from a counters-tier snapshot.
-pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Derived, CliError> {
+pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Headline, CliError> {
     let cycles = require_counter(snap, path, "sim.cycles")?;
     let instructions = require_counter(snap, path, "sim.retired_instructions")?;
     let misses = require_counter(snap, path, "btb.misses.total")?;
@@ -81,7 +70,7 @@ pub fn derive(path: &str, snap: &MetricsSnapshot) -> Result<Derived, CliError> {
     if cycles == 0 || instructions == 0 {
         return Err(CliError::Invalid(format!("{path}: empty run (0 cycles or instructions)")));
     }
-    Ok(Derived {
+    Ok(Headline {
         ipc: instructions as f64 / cycles as f64,
         btb_mpki: misses as f64 * 1000.0 / instructions as f64,
         coverage: if misses == 0 { 1.0 } else { covered as f64 / misses as f64 },
@@ -431,7 +420,7 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
         attribution: Vec::new(),
         timelines: Vec::new(),
     };
-    let mut coverage_rows: Vec<(String, Derived)> = Vec::new();
+    let mut coverage_rows: Vec<(String, Headline)> = Vec::new();
     let mut first = true;
     for path in files {
         if !json && !first {
@@ -503,61 +492,6 @@ pub fn cmd_report(args: &[String]) -> Result<(), CliError> {
 // ---------------------------------------------------------------------------
 // twig metrics regress
 // ---------------------------------------------------------------------------
-
-/// Outcome of one metric comparison.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Verdict {
-    /// Within the threshold of the baseline.
-    Ok,
-    /// Moved past the threshold in the good direction.
-    Improved,
-    /// Moved past the threshold in the bad direction.
-    Regressed,
-}
-
-impl Verdict {
-    fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Ok => "ok",
-            Verdict::Improved => "improved",
-            Verdict::Regressed => "REGRESSED",
-        }
-    }
-}
-
-struct MetricSpec {
-    name: &'static str,
-    /// Relative change tolerated before a verdict flips (e.g. 0.02 = 2%).
-    threshold: f64,
-    higher_is_better: bool,
-    read: fn(&Derived) -> f64,
-}
-
-/// The sentinel's metric set. Thresholds are relative; the simulator is
-/// bit-deterministic, so a clean rerun of the pinned command reproduces
-/// the baselines exactly and any nonzero delta reflects a real change.
-const METRICS: [MetricSpec; 4] = [
-    MetricSpec { name: "ipc", threshold: 0.005, higher_is_better: true, read: |d| d.ipc },
-    MetricSpec { name: "cycles", threshold: 0.005, higher_is_better: false, read: |d| d.cycles as f64 },
-    MetricSpec { name: "btb_mpki", threshold: 0.02, higher_is_better: false, read: |d| d.btb_mpki },
-    MetricSpec { name: "coverage", threshold: 0.02, higher_is_better: true, read: |d| d.coverage },
-];
-
-fn judge(spec: &MetricSpec, base: f64, current: f64) -> (f64, Verdict) {
-    let delta = if base == 0.0 {
-        if current == 0.0 { 0.0 } else { f64::INFINITY * (current - base).signum() }
-    } else {
-        (current - base) / base
-    };
-    let verdict = if delta.abs() <= spec.threshold {
-        Verdict::Ok
-    } else if (delta > 0.0) == spec.higher_is_better {
-        Verdict::Improved
-    } else {
-        Verdict::Regressed
-    };
-    (delta, verdict)
-}
 
 /// Metrics-snapshot stems (`<app>_<slot>`) in a directory, sorted.
 /// Attribution/trace exports and non-JSON files are skipped.
@@ -717,7 +651,7 @@ pub fn cmd_regress(args: &[String]) -> Result<(), CliError> {
         let base = derive(&base_path, &read_metrics(&base_path)?)?;
         let current = derive(&cur_path, &read_metrics(&cur_path)?)?;
         for spec in &METRICS {
-            let (delta, verdict) = judge(spec, (spec.read)(&base), (spec.read)(&current));
+            let (delta, verdict) = spec.judge(&base, &current);
             if verdict == Verdict::Regressed {
                 regressions += 1;
             }
@@ -841,23 +775,6 @@ mod tests {
             twig_serde_json::from_str(&twig_serde_json::to_string_pretty(&empty).unwrap())
                 .unwrap();
         twig_obs::validate(&doc, &schema).unwrap();
-    }
-
-    #[test]
-    fn verdicts_respect_direction_and_threshold() {
-        let ipc = &METRICS[0]; // higher is better, 0.5%
-        assert_eq!(judge(ipc, 1.0, 1.0).1, Verdict::Ok);
-        assert_eq!(judge(ipc, 1.0, 1.004).1, Verdict::Ok);
-        assert_eq!(judge(ipc, 1.0, 1.02).1, Verdict::Improved);
-        assert_eq!(judge(ipc, 1.0, 0.98).1, Verdict::Regressed);
-        let mpki = &METRICS[2]; // lower is better, 2%
-        assert_eq!(judge(mpki, 10.0, 10.1).1, Verdict::Ok);
-        assert_eq!(judge(mpki, 10.0, 10.5).1, Verdict::Regressed);
-        assert_eq!(judge(mpki, 10.0, 9.0).1, Verdict::Improved);
-        // Zero baselines never divide.
-        assert_eq!(judge(mpki, 0.0, 0.0).1, Verdict::Ok);
-        assert_eq!(judge(mpki, 0.0, 1.0).1, Verdict::Regressed);
-        assert_eq!(judge(ipc, 0.0, 1.0).1, Verdict::Improved);
     }
 
     #[test]

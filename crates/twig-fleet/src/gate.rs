@@ -1,50 +1,34 @@
 //! The A/B deploy gate: every candidate layout is judged against the
 //! currently deployed one before it ships.
 //!
-//! The metric set and relative thresholds replicate the regression
-//! sentinel in `twig-cli` (`twig metrics regress`) exactly — `twig-cli`
-//! is a binary-only crate, so the table is restated here rather than
-//! imported; the sentinel drill in CI keeps the two in agreement by
-//! construction (both are pinned by tests against the same deltas). A
-//! candidate that moves any metric past its threshold in the bad
-//! direction is `Rollback`; one that improves IPC or cycles past the
-//! threshold (with nothing regressing) is `Deploy`; everything inside
-//! the noise band is `Hold`, and consecutive holds are what the
-//! convergence watchdog counts.
+//! The gate applies the regression sentinel's metric table
+//! ([`twig_obs::sentinel`], the same one `twig metrics regress` uses)
+//! and folds the per-metric verdicts into one decision. A candidate that
+//! moves any metric past its threshold in the bad direction is
+//! `Rollback`; one that improves IPC or cycles past the threshold (with
+//! nothing regressing) is `Deploy`; everything else is `Hold`, and
+//! consecutive holds are what the convergence watchdog counts.
 
+use twig_obs::sentinel::{Headline, Verdict, METRICS};
 use twig_sim::SimStats;
 
-/// The headline figures the gate compares, derived from one run.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct GateMetrics {
-    /// Retired instructions per cycle.
-    pub ipc: f64,
-    /// BTB misses per kilo-instruction.
-    pub btb_mpki: f64,
-    /// Fraction of BTB misses covered by prefetching (1.0 when missless).
-    pub coverage: f64,
-    /// Total simulated cycles.
-    pub cycles: u64,
-}
-
-impl GateMetrics {
-    /// Derives the gate metrics from simulator statistics.
-    pub fn from_stats(stats: &SimStats) -> GateMetrics {
-        let misses = stats.total_btb_misses();
-        GateMetrics {
-            ipc: stats.ipc(),
-            btb_mpki: if stats.retired_instructions == 0 {
-                0.0
-            } else {
-                misses as f64 * 1000.0 / stats.retired_instructions as f64
-            },
-            coverage: if misses == 0 {
-                1.0
-            } else {
-                stats.total_covered_misses() as f64 / misses as f64
-            },
-            cycles: stats.cycles,
-        }
+/// Derives the headline figures the gate compares from simulator
+/// statistics.
+pub fn gate_metrics(stats: &SimStats) -> Headline {
+    let misses = stats.total_btb_misses();
+    Headline {
+        ipc: stats.ipc(),
+        btb_mpki: if stats.retired_instructions == 0 {
+            0.0
+        } else {
+            misses as f64 * 1000.0 / stats.retired_instructions as f64
+        },
+        coverage: if misses == 0 {
+            1.0
+        } else {
+            stats.total_covered_misses() as f64 / misses as f64
+        },
+        cycles: stats.cycles,
     }
 }
 
@@ -56,66 +40,31 @@ pub enum GateDecision {
     /// Within the noise band: keep the deployed layout, count a hold.
     Hold,
     /// Candidate clearly worse on some metric: keep the deployed layout
-    /// and count a rollback (a faulted generation).
+    /// and count a rollback.
     Rollback,
 }
 
-struct MetricSpec {
-    threshold: f64,
-    higher_is_better: bool,
-    read: fn(&GateMetrics) -> f64,
-}
-
-/// The sentinel's metric table (see module docs for why it is restated).
-const METRICS: [MetricSpec; 4] = [
-    MetricSpec { threshold: 0.005, higher_is_better: true, read: |m| m.ipc },
-    MetricSpec { threshold: 0.005, higher_is_better: false, read: |m| m.cycles as f64 },
-    MetricSpec { threshold: 0.02, higher_is_better: false, read: |m| m.btb_mpki },
-    MetricSpec { threshold: 0.02, higher_is_better: true, read: |m| m.coverage },
-];
-
-fn relative_delta(base: f64, current: f64) -> f64 {
-    if base == 0.0 {
-        if current == 0.0 {
-            0.0
-        } else {
-            f64::INFINITY * (current - base).signum()
-        }
-    } else {
-        (current - base) / base
-    }
-}
-
 /// Judges `candidate` against `deployed`.
-pub fn judge_deploy(deployed: &GateMetrics, candidate: &GateMetrics) -> GateDecision {
-    let mut improved = false;
-    for (i, spec) in METRICS.iter().enumerate() {
-        let delta = relative_delta((spec.read)(deployed), (spec.read)(candidate));
-        if delta.abs() <= spec.threshold {
-            continue;
+pub fn judge_deploy(deployed: &Headline, candidate: &Headline) -> GateDecision {
+    METRICS.iter().fold(GateDecision::Hold, |decision, metric| {
+        match (decision, metric.judge(deployed, candidate).1) {
+            (_, Verdict::Regressed) | (GateDecision::Rollback, _) => GateDecision::Rollback,
+            // Only the latency-shaped metrics earn a deploy on their
+            // own; coverage/MPKI wins that do not move cycles are held.
+            (_, Verdict::Improved) if matches!(metric.name, "ipc" | "cycles") => {
+                GateDecision::Deploy
+            }
+            (decision, _) => decision,
         }
-        if (delta > 0.0) == spec.higher_is_better {
-            // Only the latency-shaped metrics (ipc, cycles) earn a deploy
-            // on their own; coverage/MPKI wins that do not move cycles
-            // are held, matching the sentinel's headline ordering.
-            improved |= i < 2;
-        } else {
-            return GateDecision::Rollback;
-        }
-    }
-    if improved {
-        GateDecision::Deploy
-    } else {
-        GateDecision::Hold
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn metrics(ipc: f64, mpki: f64, coverage: f64, cycles: u64) -> GateMetrics {
-        GateMetrics { ipc, btb_mpki: mpki, coverage, cycles }
+    fn metrics(ipc: f64, btb_mpki: f64, coverage: f64, cycles: u64) -> Headline {
+        Headline { ipc, btb_mpki, coverage, cycles }
     }
 
     #[test]

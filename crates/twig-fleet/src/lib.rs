@@ -11,14 +11,14 @@
 //! pipeline:
 //!
 //! * [`service::run_fleet`] — the supervised generation loop: N tenants
-//!   × rotating load phases ([`twig_workload::PhaseSchedule`]), sampled
-//!   profiles streamed through a bounded-queue worker pool with explicit
-//!   backpressure ([`twig_sched::ServicePool`]), candidate layouts
-//!   A/B-gated by the regression-sentinel thresholds ([`gate`]), and a
-//!   convergence watchdog.
+//!   × rotating load phases ([`twig_workload::PhaseSchedule`]), one
+//!   sampled-profile job per active tenant and generation, run under
+//!   [`twig_sched::run_supervised`] on the harness scheduler
+//!   ([`twig_sched::parallel_map`]), candidate layouts A/B-gated by the
+//!   regression sentinel's table ([`gate`]), and a convergence watchdog.
 //! * [`health`] — the per-tenant `healthy → degraded → quarantined`
 //!   state machine with typed transition reasons.
-//! * [`manifest`] — the versioned, worker-count-invariant
+//! * [`manifest`] — the versioned, thread-count-invariant
 //!   `fleet_manifest.json` record (schema
 //!   `docs/schema/fleet-manifest-v2.json`).
 //!
@@ -36,9 +36,9 @@ pub mod health;
 pub mod manifest;
 pub mod service;
 
-pub use gate::{judge_deploy, GateDecision, GateMetrics};
+pub use gate::{gate_metrics, judge_deploy, GateDecision};
 pub use health::{FaultReason, Health, HealthTracker, Transition};
 pub use manifest::{
     FleetManifest, LatencySummary, TenantRecord, TransitionRecord, FLEET_MANIFEST_VERSION,
 };
-pub use service::{run_fleet, FleetConfig, FleetOutcome, TenantSpec};
+pub use service::{run_fleet, FleetConfig, TenantSpec};

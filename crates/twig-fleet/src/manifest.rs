@@ -4,8 +4,8 @@
 //! same rules as the metrics exports: a leading schema version, tenants
 //! sorted by name, integer-only figures (IPC is stored in micro-IPC so
 //! no float formatting can differ across platforms), and **no
-//! wall-clock or worker-count anywhere** — a run with 1 worker and a
-//! run with 8 must produce byte-identical files (CI diffs them). Schema:
+//! wall-clock or thread count anywhere** — a run at 1 thread and a
+//! run at 4 must produce byte-identical files (CI diffs them). Schema:
 //! `docs/schema/fleet-manifest-v2.json`, validated in the chaos lane
 //! via `twig metrics validate`.
 

@@ -1,9 +1,11 @@
 //! The continuous-PGO fleet loop.
 //!
 //! N tenant binaries run under M rotating load phases. Each layout
-//! generation, every active tenant streams a sampled LBR-style profile
-//! of its *deployed* binary through a [`ServicePool`] (bounded queue,
-//! explicit backpressure, supervised workers), the control loop merges
+//! generation, every active tenant profiles its *deployed* binary with a
+//! sampled LBR-style profile: one supervised job per tenant
+//! ([`run_supervised`]), run on the harness scheduler
+//! ([`twig_sched::parallel_map`]) and joined before the generation's
+//! control step. The control loop merges
 //! the fresh miss plans into the tenant's deployed plan set, rewrites a
 //! candidate from the pristine binary, and A/B-judges candidate against
 //! deployed with the regression sentinel's thresholds ([`crate::gate`]).
@@ -16,13 +18,12 @@
 //!
 //! # Determinism
 //!
-//! The manifest must be byte-identical across `TWIG_FLEET_WORKERS`
+//! The manifest must be byte-identical across `TWIG_NUM_THREADS`
 //! settings, so: profile jobs are pure functions of their payload,
 //! service faults match by pure predicate (no firing budgets), results
 //! come back in submission order, all checkpoint writes happen on the
 //! control thread in tenant order, and nothing wall-clock-shaped is
-//! recorded (backpressure counters stay in [`ServiceStats`], which is
-//! reported to operators but never serialized).
+//! recorded.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,7 +34,7 @@ use twig_obs::timeseries::{TimeSeriesRing, DEFAULT_TIMELINE_CAPACITY};
 use twig_obs::{Hist64, TrackKind};
 use twig_profile::Profile;
 use twig_sched::fault::FaultSpec;
-use twig_sched::{FaultKind, ServicePool, ServiceStats, TaskError, TaskPolicy, TaskReport};
+use twig_sched::{parallel_map, run_supervised, FaultKind, TaskError, TaskPolicy, TaskReport};
 use twig_serde::{Deserialize, Serialize};
 use twig_sim::{PlainBtb, SimConfig, SimStats, Simulator};
 use twig_workload::{
@@ -41,7 +42,7 @@ use twig_workload::{
     ProgramGenerator, Walker, WorkloadSpec,
 };
 
-use crate::gate::{judge_deploy, GateDecision, GateMetrics};
+use crate::gate::{gate_metrics, judge_deploy, GateDecision};
 use crate::health::{FaultReason, HealthTracker};
 use crate::manifest::{
     FleetManifest, LatencySummary, TenantRecord, TransitionRecord, FLEET_MANIFEST_VERSION,
@@ -82,10 +83,6 @@ impl TenantSpec {
 /// Knobs for one fleet run (see `TWIG_FLEET_*` in the README).
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
-    /// Service worker threads (`TWIG_FLEET_WORKERS`).
-    pub workers: usize,
-    /// Bounded profile-queue capacity (`TWIG_FLEET_QUEUE_DEPTH`).
-    pub queue_depth: usize,
     /// Layout-generation cap (`TWIG_FLEET_MAX_GENERATIONS`).
     pub max_generations: u64,
     /// Full-phase profiling budget per generation, instructions.
@@ -110,12 +107,10 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Defaults sized for the demo fleet: single worker, pressured
-    /// 64-entry BTB, 8-generation cap.
+    /// Defaults sized for the demo fleet: pressured 64-entry BTB,
+    /// 8-generation cap.
     pub fn demo() -> FleetConfig {
         FleetConfig {
-            workers: 1,
-            queue_depth: 2,
             max_generations: 8,
             instructions: 60_000,
             converge_after: 2,
@@ -137,8 +132,6 @@ impl FleetConfig {
             None => FaultSpec::none(),
         };
         FleetConfig {
-            workers: harness.fleet_workers.value,
-            queue_depth: harness.fleet_queue_depth.value,
             max_generations: harness.fleet_max_generations.value,
             faults: Arc::new(faults),
             ..FleetConfig::demo()
@@ -146,18 +139,10 @@ impl FleetConfig {
     }
 }
 
-/// What [`run_fleet`] returns: the deterministic manifest plus the
-/// (timing-dependent) service counters for operator reporting.
-#[derive(Debug)]
-pub struct FleetOutcome {
-    /// The versioned, worker-count-invariant run record.
-    pub manifest: FleetManifest,
-    /// Pool counters (submitted/completed/failed/backpressure waits).
-    pub service: ServiceStats,
-}
-
-/// One profile job streamed to the service pool.
+/// One tenant's profile job for one generation.
 struct ProfileJob {
+    /// `fleet:<tenant>@g<N>:<phase>`, matched by label fault selectors.
+    label: String,
     tenant: String,
     generation: u64,
     deployed: Arc<Program>,
@@ -166,7 +151,7 @@ struct ProfileJob {
     sim: SimConfig,
 }
 
-/// A profile chunk coming back from a worker.
+/// A profile chunk coming back from a job.
 struct ProfileChunk {
     profile: Profile,
     stats: SimStats,
@@ -406,13 +391,13 @@ fn churn_reonboard(state: &mut TenantState, optimizer: &TwigOptimizer, store: &C
 }
 
 /// Runs the continuous-PGO loop over `tenants` and returns the
-/// deterministic manifest.
+/// deterministic, thread-count-invariant manifest.
 ///
 /// # Errors
 ///
 /// Returns a message for duplicate tenant names or an invalid workload
 /// spec.
-pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOutcome, String> {
+pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetManifest, String> {
     if tenants.is_empty() {
         return Err("fleet needs at least one tenant".to_string());
     }
@@ -469,46 +454,9 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
         .collect::<Result<_, String>>()?;
 
     let policy = TaskPolicy { attempts: 2, backoff_ms: 1, timeout_ms: None };
-    let worker_faults = Arc::clone(&config.faults);
-    let worker_optimizer = optimizer.clone();
-    let mut pool: ServicePool<ProfileJob, ProfileChunk> = ServicePool::new(
-        config.workers,
-        config.queue_depth,
-        policy,
-        move |job: &ProfileJob, _token| {
-            if worker_faults.fires_service(FaultKind::StallStream, &job.tenant, job.generation) {
-                return Err(TaskError::Domain {
-                    kind: "stall-stream".to_string(),
-                    detail: format!(
-                        "profile stream for {} produced no samples at generation {}",
-                        job.tenant, job.generation
-                    ),
-                });
-            }
-            // The sampled stream arrives as a shared slice; feeding it
-            // through a `MemSource` keeps the worker on the same
-            // source-based path the out-of-core readers use.
-            let (profile, stats) = worker_optimizer.collect_profile_and_stats_from_source(
-                &job.deployed,
-                job.sim,
-                &mut MemSource::new(Arc::clone(&job.events)),
-                job.instructions,
-            );
-            let mut fingerprint = profile_fingerprint(&profile);
-            if worker_faults.fires_service(FaultKind::CorruptProfile, &job.tenant, job.generation)
-            {
-                fingerprint ^= 0xBAD5_EED5_BAD5_EED5;
-            }
-            Ok(ProfileChunk {
-                profile,
-                stats,
-                fingerprint,
-                events: Arc::clone(&job.events),
-                instructions: job.instructions,
-            })
-        },
-    );
-
+    // Fleet-lifetime submission counter: the task index `task=N` fault
+    // selectors match.
+    let mut submissions = 0usize;
     let mut generations_run = 0u64;
     for generation in 0..config.max_generations {
         if !states.iter().any(TenantState::active) {
@@ -517,6 +465,7 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
         generations_run += 1;
 
         let mut submitted: Vec<usize> = Vec::new();
+        let mut jobs: Vec<(usize, ProfileJob)> = Vec::new();
         for (i, state) in states.iter_mut().enumerate() {
             if !state.active() {
                 continue;
@@ -530,9 +479,10 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
             }
             let phase = state.schedule.phase_at(generation);
             let (events, instructions) = events_for(state, phase, config.instructions);
-            pool.submit(
-                format!("fleet:{}@g{}:{}", state.name, generation, phase.name()),
+            jobs.push((
+                submissions,
                 ProfileJob {
+                    label: format!("fleet:{}@g{}:{}", state.name, generation, phase.name()),
                     tenant: state.name.clone(),
                     generation,
                     deployed: Arc::clone(&state.deployed),
@@ -540,17 +490,20 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
                     instructions,
                     sim: state.sim,
                 },
-            );
+            ));
+            submissions += 1;
             submitted.push(i);
         }
 
-        for (i, report) in submitted.iter().zip(pool.drain()) {
+        let reports = parallel_map(jobs, |(index, job)| {
+            run_supervised(&job.label, index, &policy, |_token| {
+                collect_chunk(&job, &config.faults, &optimizer)
+            })
+        });
+        for (i, report) in submitted.iter().zip(reports) {
             process_report(&mut states[*i], report, generation, config, &optimizer, &store);
         }
     }
-
-    let service = pool.stats();
-    pool.shutdown();
 
     states.sort_by(|a, b| a.name.cmp(&b.name));
     let active_exists = states.iter().any(|s| !s.health.is_quarantined());
@@ -592,14 +545,50 @@ pub fn run_fleet(tenants: &[TenantSpec], config: &FleetConfig) -> Result<FleetOu
         })
         .collect();
 
-    Ok(FleetOutcome {
-        manifest: FleetManifest {
-            version: FLEET_MANIFEST_VERSION,
-            generations_run,
-            converged,
-            tenants,
-        },
-        service,
+    Ok(FleetManifest {
+        version: FLEET_MANIFEST_VERSION,
+        generations_run,
+        converged,
+        tenants,
+    })
+}
+
+/// One profile job's body: a stalled stream yields no chunk; otherwise
+/// the deployed binary is profiled over the phase's events and the chunk
+/// carries a fingerprint a `corrupt-profile` fault flips.
+fn collect_chunk(
+    job: &ProfileJob,
+    faults: &FaultSpec,
+    optimizer: &TwigOptimizer,
+) -> Result<ProfileChunk, TaskError> {
+    if faults.fires_service(FaultKind::StallStream, &job.tenant, job.generation) {
+        return Err(TaskError::Domain {
+            kind: "stall-stream".to_string(),
+            detail: format!(
+                "profile stream for {} produced no samples at generation {}",
+                job.tenant, job.generation
+            ),
+        });
+    }
+    // The sampled stream arrives as a shared slice; feeding it through a
+    // `MemSource` keeps the job on the same source-based path the
+    // out-of-core readers use.
+    let (profile, stats) = optimizer.collect_profile_and_stats_from_source(
+        &job.deployed,
+        job.sim,
+        &mut MemSource::new(Arc::clone(&job.events)),
+        job.instructions,
+    );
+    let mut fingerprint = profile_fingerprint(&profile);
+    if faults.fires_service(FaultKind::CorruptProfile, &job.tenant, job.generation) {
+        fingerprint ^= 0xBAD5_EED5_BAD5_EED5;
+    }
+    Ok(ProfileChunk {
+        profile,
+        stats,
+        fingerprint,
+        events: Arc::clone(&job.events),
+        instructions: job.instructions,
     })
 }
 
@@ -654,8 +643,8 @@ fn process_report(
                         chunk.instructions,
                     );
                     match judge_deploy(
-                        &GateMetrics::from_stats(&chunk.stats),
-                        &GateMetrics::from_stats(&candidate_stats),
+                        &gate_metrics(&chunk.stats),
+                        &gate_metrics(&candidate_stats),
                     ) {
                         GateDecision::Deploy => {
                             state.deployed = Arc::new(candidate.program);

@@ -18,6 +18,9 @@
 //!   `twig-cli metrics diff` subcommand).
 //! * [`schema`] — a minimal JSON-schema-subset validator used by CI to
 //!   pin the exported metrics/trace formats.
+//! * [`sentinel`] — the regression sentinel's metric table (thresholds,
+//!   directions, verdicts), shared by `twig metrics regress` and the
+//!   fleet's deploy gate.
 //!
 //! Tiering mirrors the integrity layer and is selected via
 //! [`ObsConfig`] or the `TWIG_OBS` environment variable (parsed through
@@ -53,6 +56,7 @@ pub mod attr;
 pub mod diff;
 pub mod metrics;
 pub mod schema;
+pub mod sentinel;
 pub mod timeseries;
 pub mod trace;
 

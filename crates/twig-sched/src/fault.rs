@@ -131,7 +131,7 @@ impl FaultClause {
     /// generation. A **pure predicate** — no firing budget is consumed —
     /// so the outcome is independent of the order worker threads reach
     /// matching tenants, which keeps fleet manifests byte-identical
-    /// across `TWIG_FLEET_WORKERS` settings.
+    /// across `TWIG_NUM_THREADS` settings.
     fn matches_service(&self, tenant: &str, generation: u64) -> bool {
         if let Some(gen) = self.gen {
             if gen != generation {
@@ -310,7 +310,7 @@ impl FaultSpec {
     /// True when a service-level clause of `kind` matches `tenant` at
     /// `generation`. Purely functional (no firing budget — see
     /// [`FaultClause::matches_service`]), so fleet chaos drills are
-    /// deterministic at any worker count.
+    /// deterministic at any thread count.
     pub fn fires_service(&self, kind: FaultKind, tenant: &str, generation: u64) -> bool {
         self.clauses
             .iter()

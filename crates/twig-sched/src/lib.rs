@@ -12,6 +12,10 @@
 //! (kept for familiarity with rayon-based setups), then the machine's
 //! available parallelism.
 //!
+//! The same scheduler runs the fleet's per-generation profile jobs
+//! (`twig-fleet`): one [`run_supervised`] job per active tenant, drained
+//! through [`parallel_map`] before the next generation starts.
+//!
 //! Budget tokens are owned per-worker and returned the moment a worker
 //! finds the queue empty — not when the whole `parallel_map` joins — so a
 //! concurrent map can scale up while another map's slow last task is
@@ -31,7 +35,6 @@ use std::sync::{Mutex, OnceLock};
 pub mod durable;
 pub mod fault;
 pub mod procs;
-pub mod service;
 pub mod supervise;
 
 pub use durable::{
@@ -40,7 +43,6 @@ pub use durable::{
 };
 pub use fault::{FaultKind, FaultSpec};
 pub use procs::{num_procs, ShardSpec};
-pub use service::{BoundedQueue, ServicePool, ServiceStats};
 pub use supervise::{
     jittered_backoff_ms, run_supervised, supervised_map, CancelToken, TaskError, TaskPolicy,
     TaskReport,

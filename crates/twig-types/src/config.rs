@@ -97,17 +97,9 @@ pub const VAR_OBS_WINDOW: &str = "TWIG_OBS_WINDOW";
 /// runs never touch disk; big-trace cells cross it and stay in bounded
 /// RSS.
 pub const VAR_TRACE_SPILL_EVENTS: &str = "TWIG_TRACE_SPILL_EVENTS";
-/// `TWIG_FLEET_WORKERS` — long-running fleet-service worker threads,
-/// at least 1. Results are worker-count invariant (the fleet manifest is
-/// proven byte-identical across settings), so this is purely a throughput
-/// knob.
-pub const VAR_FLEET_WORKERS: &str = "TWIG_FLEET_WORKERS";
 /// `TWIG_FLEET_MAX_GENERATIONS` — layout-generation cap for the fleet
 /// convergence watchdog, at least 1.
 pub const VAR_FLEET_MAX_GENERATIONS: &str = "TWIG_FLEET_MAX_GENERATIONS";
-/// `TWIG_FLEET_QUEUE_DEPTH` — bounded profile-queue capacity per fleet
-/// service, at least 1; submissions beyond it block (backpressure).
-pub const VAR_FLEET_QUEUE_DEPTH: &str = "TWIG_FLEET_QUEUE_DEPTH";
 
 /// Every `TWIG_*` variable the harness understands, in documentation
 /// order. The README's reference table and the manifest dump iterate this.
@@ -127,9 +119,7 @@ pub const ALL_VARS: &[&str] = &[
     VAR_OBS_ATTR,
     VAR_OBS_WINDOW,
     VAR_TRACE_SPILL_EVENTS,
-    VAR_FLEET_WORKERS,
     VAR_FLEET_MAX_GENERATIONS,
-    VAR_FLEET_QUEUE_DEPTH,
 ];
 
 /// Where a setting's effective value came from.
@@ -273,12 +263,8 @@ pub struct HarnessConfig {
     pub obs_window: Setting<String>,
     /// Trace-spill threshold in events; `None` = spilling disabled.
     pub trace_spill_events: Setting<Option<u64>>,
-    /// Fleet-service worker threads, at least 1.
-    pub fleet_workers: Setting<usize>,
     /// Fleet convergence-watchdog generation cap, at least 1.
     pub fleet_max_generations: Setting<u64>,
-    /// Fleet bounded-queue capacity, at least 1.
-    pub fleet_queue_depth: Setting<usize>,
 }
 
 impl HarnessConfig {
@@ -300,9 +286,7 @@ impl HarnessConfig {
             obs_attr: Setting::default_value("off".to_string()),
             obs_window: Setting::default_value("off".to_string()),
             trace_spill_events: Setting::default_value(Some(8_000_000)),
-            fleet_workers: Setting::default_value(1),
             fleet_max_generations: Setting::default_value(8),
-            fleet_queue_depth: Setting::default_value(2),
         }
     }
 
@@ -387,17 +371,6 @@ impl HarnessConfig {
             let n = parse_u64(VAR_TRACE_SPILL_EVENTS, &raw)?;
             config.trace_spill_events = Setting::env_value(if n == 0 { None } else { Some(n) });
         }
-        if let Some(raw) = lookup(VAR_FLEET_WORKERS) {
-            let n = parse_u64(VAR_FLEET_WORKERS, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_FLEET_WORKERS,
-                    value: raw,
-                    reason: "worker count must be >= 1".to_string(),
-                });
-            }
-            config.fleet_workers = Setting::env_value(n as usize);
-        }
         if let Some(raw) = lookup(VAR_FLEET_MAX_GENERATIONS) {
             let n = parse_u64(VAR_FLEET_MAX_GENERATIONS, &raw)?;
             if n == 0 {
@@ -408,17 +381,6 @@ impl HarnessConfig {
                 });
             }
             config.fleet_max_generations = Setting::env_value(n);
-        }
-        if let Some(raw) = lookup(VAR_FLEET_QUEUE_DEPTH) {
-            let n = parse_u64(VAR_FLEET_QUEUE_DEPTH, &raw)?;
-            if n == 0 {
-                return Err(ConfigError {
-                    var: VAR_FLEET_QUEUE_DEPTH,
-                    value: raw,
-                    reason: "queue depth must be >= 1".to_string(),
-                });
-            }
-            config.fleet_queue_depth = Setting::env_value(n as usize);
         }
         Ok(config)
     }
@@ -533,19 +495,9 @@ impl HarnessConfig {
                 source: self.trace_spill_events.source.as_str(),
             },
             ConfigEntry {
-                name: VAR_FLEET_WORKERS,
-                value: self.fleet_workers.value.to_string(),
-                source: self.fleet_workers.source.as_str(),
-            },
-            ConfigEntry {
                 name: VAR_FLEET_MAX_GENERATIONS,
                 value: self.fleet_max_generations.value.to_string(),
                 source: self.fleet_max_generations.source.as_str(),
-            },
-            ConfigEntry {
-                name: VAR_FLEET_QUEUE_DEPTH,
-                value: self.fleet_queue_depth.value.to_string(),
-                source: self.fleet_queue_depth.source.as_str(),
             },
         ]
     }
@@ -691,27 +643,16 @@ mod tests {
 
     #[test]
     fn fleet_knobs_parse_and_reject_zero() {
-        let config = HarnessConfig::from_lookup(env_of(&[
-            ("TWIG_FLEET_WORKERS", "4"),
-            ("TWIG_FLEET_MAX_GENERATIONS", "12"),
-            ("TWIG_FLEET_QUEUE_DEPTH", "3"),
-        ]))
-        .unwrap();
-        assert_eq!(config.fleet_workers.value, 4);
+        let config =
+            HarnessConfig::from_lookup(env_of(&[("TWIG_FLEET_MAX_GENERATIONS", "12")])).unwrap();
         assert_eq!(config.fleet_max_generations.value, 12);
-        assert_eq!(config.fleet_queue_depth.value, 3);
-        assert_eq!(config.fleet_workers.source, Source::Env);
+        assert_eq!(config.fleet_max_generations.source, Source::Env);
+        assert_eq!(HarnessConfig::defaults().fleet_max_generations.value, 8);
 
-        let defaults = HarnessConfig::defaults();
-        assert_eq!(defaults.fleet_workers.value, 1);
-        assert_eq!(defaults.fleet_max_generations.value, 8);
-        assert_eq!(defaults.fleet_queue_depth.value, 2);
-
-        for var in ["TWIG_FLEET_WORKERS", "TWIG_FLEET_MAX_GENERATIONS", "TWIG_FLEET_QUEUE_DEPTH"] {
-            let err = HarnessConfig::from_lookup(env_of(&[(var, "0")])).unwrap_err();
-            assert_eq!(err.var, var);
-            assert!(err.to_string().contains(">= 1"), "{err}");
-        }
+        let err = HarnessConfig::from_lookup(env_of(&[("TWIG_FLEET_MAX_GENERATIONS", "0")]))
+            .unwrap_err();
+        assert_eq!(err.var, "TWIG_FLEET_MAX_GENERATIONS");
+        assert!(err.to_string().contains(">= 1"), "{err}");
     }
 
     #[test]
