@@ -46,11 +46,14 @@ fn bench_profile_and_analysis(c: &mut Criterion) {
         b.iter(|| optimizer.analyze_for(&profile, &program).len());
     });
 
+    // `rewrite_of` on the pristine program, as every sweep calls it
+    // (`rewrite` would also time regenerating the program).
     let plans = optimizer.analyze_for(&profile, &program);
+    let layout = generator.layout_options();
     group.bench_function("rewrite", |b| {
         b.iter(|| {
             optimizer
-                .rewrite(&generator, &plans)
+                .rewrite_of(&program, &layout, &plans)
                 .rewrite
                 .brprefetch_ops
         });

@@ -283,7 +283,7 @@ mod tests {
             })
             .map(|(id, _)| id)
             .unwrap();
-        let pc = program.block(branch).branch_pc();
+        let pc = program.branch_pc(branch);
         let mut ctx = FrontendCtx {
             cycle: 100,
             program: &program,

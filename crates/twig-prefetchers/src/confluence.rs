@@ -90,7 +90,7 @@ impl Confluence {
                 Some(t) => t,
                 None => Addr::ZERO,
             };
-            let pc = ctx.program.block(block).branch_pc();
+            let pc = ctx.program.branch_pc(block);
             entries.push((
                 pc,
                 AirEntry {
@@ -281,15 +281,15 @@ mod tests {
     }
 
     fn a_branch_line(program: &Program) -> (CacheLineAddr, Addr) {
-        let (id, block) = program
+        let (id, _) = program
             .blocks()
             .find(|(_, b)| {
                 b.branch_kind()
                     .is_some_and(|k| k.is_direct())
             })
             .unwrap();
-        let _ = id;
-        (block.branch_pc().line(), block.branch_pc())
+        let pc = program.branch_pc(id);
+        (pc.line(), pc)
     }
 
     #[test]

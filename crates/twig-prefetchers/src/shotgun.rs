@@ -117,7 +117,7 @@ impl Shotgun {
                     continue;
                 }
                 let Some(target_addr) = target_addr else { continue };
-                let pc = ctx.program.block(block).branch_pc();
+                let pc = ctx.program.branch_pc(block);
                 self.buffer.insert(pc, target_addr, kind, fill.ready_at);
             }
         }
@@ -242,13 +242,13 @@ mod tests {
                 continue;
             };
             let entry = program.function(*callee).entry;
-            let target_line = program.block(entry).addr.line();
+            let target_line = program.addr(entry).line();
             for bid in program.function(*callee).block_ids() {
                 let b = program.block(bid);
                 if b.branch_kind() == Some(BranchKind::Conditional)
-                    && b.branch_pc().line().line_number()
+                    && program.branch_pc(bid).line().line_number()
                         >= target_line.line_number()
-                    && b.branch_pc().line().line_number()
+                    && program.branch_pc(bid).line().line_number()
                         < target_line.line_number() + SPATIAL_RANGE_LINES
                 {
                     return Some((id, bid));
@@ -316,7 +316,7 @@ mod tests {
         let call_rec = program
             .resolve_branch(call_block, true, direct_target(&program, call_block))
             .unwrap();
-        let cond_pc = program.block(cond_block).branch_pc();
+        let cond_pc = program.branch_pc(cond_block);
 
         // First execution: install the U-BTB entry and record the footprint
         // (the callee's lines are accessed while the window is open).

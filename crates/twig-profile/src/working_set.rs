@@ -80,7 +80,7 @@ impl SpatialRangeAnalyzer {
             return;
         }
         // Conditional: is its own location within range of the anchor?
-        let line = block.branch_pc().line();
+        let line = program.branch_pc(event.block).line();
         match self.last_uncond_target {
             Some(anchor)
                 if line.line_number() >= anchor.line_number()
@@ -144,9 +144,9 @@ mod tests {
         // A conditional in a function with much higher id (distant layout).
         let far_cond = program
             .blocks()
-            .filter(|(_, b)| {
+            .filter(|(id, b)| {
                 b.branch_kind() == Some(twig_types::BranchKind::Conditional)
-                    && b.addr.line().distance(program.block(callee_entry).addr.line())
+                    && program.addr(*id).line().distance(program.addr(callee_entry).line())
                         > SHOTGUN_RANGE_LINES * 4
             })
             .map(|(id, _)| id)

@@ -934,8 +934,8 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
 
             // FDIP: warm the block's lines as soon as it is enqueued.
             // `end_addr` is exclusive, so the last byte is one before it.
-            let first_line = block.addr.line().line_number();
-            let last_byte = Addr::new(block.end_addr().raw() - 1);
+            let first_line = self.program.addr(ev.block).line().line_number();
+            let last_byte = Addr::new(self.program.end_addr(ev.block).raw() - 1);
             let last_line = last_byte.line().line_number().max(first_line);
             for line in first_line..=last_line {
                 self.mem
@@ -957,8 +957,9 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             entry.first_line = entry.first_line.min(first_line);
             entry.last_line = entry.last_line.max(last_line);
             entry.instrs += block.num_instrs;
-            entry.ops += block.prefetch_ops.len() as u32;
-            if !block.prefetch_ops.is_empty() {
+            let ops = self.program.prefetch_ops(ev.block).len() as u32;
+            entry.ops += ops;
+            if ops > 0 {
                 self.ops_scratch.push(ev.block);
             }
 
@@ -1144,7 +1145,7 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
     /// Executes the software prefetch ops attached to `block`, effective at
     /// decode time.
     fn execute_prefetch_ops(&mut self, block: BlockId, decode_done: u64, cycle: u64) {
-        let ops = &self.program.block(block).prefetch_ops;
+        let ops = self.program.prefetch_ops(block);
         let mut ctx = FrontendCtx {
             cycle,
             program: self.program,

@@ -299,7 +299,7 @@ impl SoftwarePrefetcher {
         let Some(target) = program.direct_branch_target_addr(block) else {
             return;
         };
-        self.buffer.insert(b.branch_pc(), target, kind, ready_at);
+        self.buffer.insert(program.branch_pc(block), target, kind, ready_at);
     }
 }
 
@@ -454,7 +454,7 @@ mod tests {
         let (program, config, mut mem) = setup();
         let mut sys = PlainBtb::new(&config);
         let block = first_direct_branch(&program);
-        let pc = program.block(block).branch_pc();
+        let pc = program.branch_pc(block);
         let op = PrefetchOp::BrPrefetch {
             branch_block: block,
         };
@@ -484,7 +484,7 @@ mod tests {
         let (program, config, mut mem) = setup();
         let mut sys = PlainBtb::new(&config);
         let block = first_direct_branch(&program);
-        let pc = program.block(block).branch_pc();
+        let pc = program.branch_pc(block);
         let mut ctx = FrontendCtx {
             cycle: 51,
             program: &program,
@@ -532,7 +532,7 @@ mod tests {
         );
         assert_eq!(sys.prefetch_stats().inserted, 3);
         for (i, &block) in table.iter().take(4).enumerate() {
-            let pc = program.block(block).branch_pc();
+            let pc = program.branch_pc(block);
             let outcome = sys.lookup(pc, &mut ctx);
             if i == 2 {
                 assert_eq!(outcome, LookupOutcome::Miss, "bit 2 unset");
@@ -579,8 +579,8 @@ mod tests {
             0,
             &mut ctx,
         );
-        let pc0 = program.block(table[0]).branch_pc();
-        let pc1 = program.block(table[1]).branch_pc();
+        let pc0 = program.branch_pc(table[0]);
+        let pc1 = program.branch_pc(table[1]);
         let slow_ready = config.prefetch_exec_latency + config.coalesce_table_miss_latency;
         let fast_ready = config.prefetch_exec_latency + 1;
         ctx.cycle = fast_ready;

@@ -6,7 +6,7 @@
 //! precise simulator behaviour (resteer latencies, region formation, BTB
 //! set conflicts) against known structures.
 
-use twig_types::{Addr, BlockId, FuncId};
+use twig_types::{BlockId, FuncId};
 
 use crate::layout::{assign_layout, LayoutOptions};
 use crate::program::{BasicBlock, Function, Program, Terminator};
@@ -153,13 +153,11 @@ impl ProgramBuilder {
                 };
                 blocks.push(BasicBlock {
                     func: FuncId::new(fi as u32),
-                    addr: Addr::ZERO,
                     num_instrs: b.num_instrs,
                     body_bytes: (b.num_instrs - 1) * b.instr_bytes + term_bytes.max(1),
                     term_bytes,
                     term: b.term,
-                    prefetch_ops: Vec::new(),
-                });
+                        });
             }
             let last_block = blocks.len() as u32;
             functions.push(Function {
@@ -252,9 +250,7 @@ mod tests {
     fn ids_are_stable_and_layout_contiguous() {
         let p = loop_calling_leaf();
         assert_eq!(p.num_blocks(), 4);
-        let b0 = p.block(BlockId::new(0));
-        let b1 = p.block(BlockId::new(1));
-        assert_eq!(b0.end_addr(), b1.addr);
+        assert_eq!(p.end_addr(BlockId::new(0)), p.addr(BlockId::new(1)));
         assert_eq!(p.function(FuncId::new(1)).entry, BlockId::new(2));
     }
 
@@ -346,6 +342,6 @@ mod tests {
         b.block(f0, 2, Terminator::Return);
         let p = b.build(f0);
         // 3 * 16 body + 1-byte placeholder terminator = 49 bytes.
-        assert_eq!(p.block(big).size_bytes(), 49);
+        assert_eq!(p.size_bytes(big), 49);
     }
 }

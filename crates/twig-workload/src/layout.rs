@@ -10,7 +10,7 @@
 //! rewriter grows blocks with prefetch instructions — re-layout after
 //! injection is exactly what a link-time rewriter like BOLT does.
 
-use twig_types::{Addr, FuncId};
+use twig_types::Addr;
 
 use crate::program::Program;
 
@@ -69,24 +69,23 @@ impl Default for LayoutOptions {
 /// let mut program = ProgramGenerator::new(WorkloadSpec::tiny_test()).generate();
 /// layout::assign_layout(&mut program, &LayoutOptions::default());
 /// let entry = program.function(program.entry_function()).entry;
-/// assert_eq!(program.block(entry).addr.raw() % 16, 0);
+/// assert_eq!(program.addr(entry).raw() % 16, 0);
 /// ```
 pub fn assign_layout(program: &mut Program, options: &LayoutOptions) {
     let mut cursor = options.text_base;
     let mut max_end = cursor;
-    let func_ids: Vec<FuncId> = program.functions().map(|f| f.id).collect();
-    for fid in func_ids {
+    let (functions, sizes, addrs) = program.layout_mut();
+    for func in functions {
         if let Some(split) = options.library_split {
-            if fid.raw() == split.first_library_func {
+            if func.id.raw() == split.first_library_func {
                 cursor = split.library_base;
             }
         }
         cursor = align_up(cursor, FUNCTION_ALIGN);
-        let func = program.function(fid).clone();
-        for bid in func.block_ids() {
-            let block = program.block_mut(bid);
-            block.addr = Addr::new(cursor);
-            cursor += u64::from(block.size_bytes());
+        let range = func.first_block as usize..func.last_block as usize;
+        for (addr, &size) in addrs[range.clone()].iter_mut().zip(&sizes[range]) {
+            *addr = Addr::new(cursor);
+            cursor += u64::from(size);
         }
         cursor += options.inter_function_pad;
         max_end = max_end.max(cursor);
@@ -123,9 +122,7 @@ mod tests {
         for func in p.functions() {
             let ids: Vec<BlockId> = func.block_ids().collect();
             for pair in ids.windows(2) {
-                let a = p.block(pair[0]);
-                let b = p.block(pair[1]);
-                assert_eq!(a.end_addr(), b.addr, "gap inside {}", func.id);
+                assert_eq!(p.end_addr(pair[0]), p.addr(pair[1]), "gap inside {}", func.id);
             }
         }
     }
@@ -137,8 +134,8 @@ mod tests {
         let mut spans: Vec<(u64, u64)> = p
             .functions()
             .map(|f| {
-                let first = p.block(BlockId::new(f.first_block)).addr.raw();
-                let last = p.block(BlockId::new(f.last_block - 1)).end_addr().raw();
+                let first = p.addr(BlockId::new(f.first_block)).raw();
+                let last = p.end_addr(BlockId::new(f.last_block - 1)).raw();
                 (first, last)
             })
             .collect();
@@ -154,20 +151,22 @@ mod tests {
         assign_layout(&mut p, &LayoutOptions::default());
         // Grow an early block, then re-layout: later blocks must shift.
         let victim = BlockId::new(0);
-        p.block_mut(victim)
-            .prefetch_ops
-            .push(twig_types::PrefetchOp::BrPrefetch {
+        p.set_prefetch_ops(vec![(
+            victim,
+            twig_types::PrefetchOp::BrPrefetch {
                 branch_block: BlockId::new(1),
-            });
-        let before_last = p.block(BlockId::new(p.num_blocks() as u32 - 1)).addr;
+            },
+        )]);
+        let last = BlockId::new(p.num_blocks() as u32 - 1);
+        let before_last = p.addr(last);
         assign_layout(&mut p, &LayoutOptions::default());
-        let after_last = p.block(BlockId::new(p.num_blocks() as u32 - 1)).addr;
+        let after_last = p.addr(last);
         assert!(after_last >= before_last);
         // Contiguity still holds.
         for func in p.functions() {
             let ids: Vec<BlockId> = func.block_ids().collect();
             for pair in ids.windows(2) {
-                assert_eq!(p.block(pair[0]).end_addr(), p.block(pair[1]).addr);
+                assert_eq!(p.end_addr(pair[0]), p.addr(pair[1]));
             }
         }
     }
@@ -185,7 +184,7 @@ mod tests {
         };
         assign_layout(&mut p, &opts);
         for func in p.functions() {
-            let addr = p.block(func.entry).addr.raw();
+            let addr = p.addr(func.entry).raw();
             if func.id.raw() < split_at {
                 assert!(addr < 0x7000_0000);
             } else {
@@ -200,7 +199,7 @@ mod tests {
         assign_layout(&mut p, &LayoutOptions::default());
         let code_end = p
             .blocks()
-            .map(|(_, b)| b.end_addr().raw())
+            .map(|(id, _)| p.end_addr(id).raw())
             .max()
             .unwrap();
         assert!(p.coalesce_entry_addr(0).raw() >= code_end);

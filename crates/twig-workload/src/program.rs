@@ -6,6 +6,8 @@
 //! frontend simulator can model I-cache lines, BTB indices, and signed
 //! address offsets exactly as it would for a real binary.
 
+use std::sync::Arc;
+
 use twig_serde::{Deserialize, Serialize};
 use twig_types::{Addr, BlockId, BranchKind, BranchOutcome, BranchRecord, FuncId, PrefetchOp};
 
@@ -85,17 +87,16 @@ impl Terminator {
     }
 }
 
-/// One basic block of the synthetic program.
+/// One basic block of the synthetic program: its place in the CFG and the
+/// byte sizes of its original instructions.
 ///
-/// `addr` and byte sizes are assigned by the [layout](crate::layout) pass and
-/// updated when the Twig rewriter injects prefetch operations and re-lays-out
-/// the binary.
+/// Blocks are immutable once generated and shared by every binary of the
+/// program; where a block sits and which prefetch ops it carries belong to
+/// a binary's layout (see [`Program::addr`] and [`Program::prefetch_ops`]).
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct BasicBlock {
     /// Owning function.
     pub func: FuncId,
-    /// First-byte address of the block in the current layout.
-    pub addr: Addr,
     /// Number of *original* program instructions, including the terminator
     /// branch (if any) but excluding injected prefetch operations.
     pub num_instrs: u32,
@@ -105,48 +106,9 @@ pub struct BasicBlock {
     pub term_bytes: u32,
     /// Control transfer at the end of the block.
     pub term: Terminator,
-    /// Software BTB prefetch operations injected by the Twig rewriter.
-    ///
-    /// Prefetch ops execute at the *start* of the block (they are placed
-    /// before the original instructions so they retire before the block's
-    /// own branch, maximizing timeliness).
-    pub prefetch_ops: Vec<PrefetchOp>,
 }
 
 impl BasicBlock {
-    /// Total byte size in the current layout, including injected ops.
-    #[inline]
-    pub fn size_bytes(&self) -> u32 {
-        self.body_bytes + self.prefetch_bytes()
-    }
-
-    /// Bytes of injected prefetch operations.
-    #[inline]
-    pub fn prefetch_bytes(&self) -> u32 {
-        self.prefetch_ops.iter().map(|op| op.encoded_bytes()).sum()
-    }
-
-    /// Total dynamic instruction count per execution, including injected ops.
-    #[inline]
-    pub fn total_instrs(&self) -> u32 {
-        self.num_instrs + self.prefetch_ops.len() as u32
-    }
-
-    /// Address of the terminator branch instruction.
-    ///
-    /// For fall-through blocks this is the address of the last instruction
-    /// (which is not a branch); callers should check [`Self::branch_kind`].
-    #[inline]
-    pub fn branch_pc(&self) -> Addr {
-        self.addr + u64::from(self.size_bytes() - self.term_bytes.max(1))
-    }
-
-    /// Address of the first byte after the block (fall-through address).
-    #[inline]
-    pub fn end_addr(&self) -> Addr {
-        self.addr + u64::from(self.size_bytes())
-    }
-
     /// Branch kind of the terminator, if it is a branch.
     #[inline]
     pub fn branch_kind(&self) -> Option<BranchKind> {
@@ -180,7 +142,26 @@ impl Function {
     }
 }
 
-/// A complete synthetic program: CFG plus binary layout.
+/// The immutable control-flow graph, shared through an `Arc` by the
+/// pristine binary and every binary rewritten from it.
+#[derive(PartialEq, Debug, Serialize, Deserialize)]
+struct Cfg {
+    functions: Vec<Function>,
+    blocks: Vec<BasicBlock>,
+    entry_function: FuncId,
+    /// Original instructions over all blocks.
+    instructions: u64,
+    /// Original bytes over all blocks.
+    body_bytes: u64,
+    /// Static branch sites per [`BranchKind`] index.
+    branches_by_kind: [u64; 6],
+}
+
+/// A complete synthetic program: a shared CFG plus this binary's layout.
+///
+/// The CFG (functions and [`BasicBlock`]s) is immutable and shared, so
+/// cloning a program copies only its layout: one address and one byte size
+/// per block, the injected prefetch ops, and the coalesce table.
 ///
 /// # Examples
 ///
@@ -194,12 +175,27 @@ impl Function {
 /// assert!(program.num_blocks() > 0);
 /// let entry = program.function(program.entry_function());
 /// assert_eq!(entry.entry.index() as u32, entry.first_block);
+/// assert!(program.clone().shares_cfg_with(&program));
 /// ```
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct Program {
-    functions: Vec<Function>,
-    blocks: Vec<BasicBlock>,
-    entry_function: FuncId,
+    cfg: Arc<Cfg>,
+    /// First-byte address of each block in this layout.
+    addrs: Vec<Addr>,
+    /// Byte size of each block in this layout, injected ops included.
+    sizes: Vec<u32>,
+    /// Blocks carrying injected ops, in id order.
+    op_sites: Vec<BlockId>,
+    /// `ops[op_start[k]..op_start[k + 1]]` are the ops of `op_sites[k]`
+    /// (one more entry than `op_sites` once any op is installed).
+    op_start: Vec<u32>,
+    /// Software BTB prefetch operations injected by the Twig rewriter,
+    /// grouped by site. A site's ops execute at the *start* of the block
+    /// (placed before the original instructions so they retire before the
+    /// block's own branch, maximizing timeliness).
+    ops: Vec<PrefetchOp>,
+    /// Encoded bytes of `ops`.
+    op_bytes: u64,
     /// Sorted key-value table for `brcoalesce` (block ids whose terminator
     /// branches are prefetchable via the table). Laid out in the text
     /// segment after the last function.
@@ -209,40 +205,66 @@ pub struct Program {
 }
 
 impl Program {
-    /// Assembles a program from parts. Intended for the generator and the
-    /// rewriter; invariants (dense function ranges, valid ids) are checked
-    /// in debug builds.
+    /// Assembles an op-free program from parts with every block at address
+    /// zero; the generator and the builder then assign a layout.
+    /// Invariants (dense function ranges, valid ids) are checked in debug
+    /// builds.
     pub fn from_parts(functions: Vec<Function>, blocks: Vec<BasicBlock>, entry: FuncId) -> Self {
         debug_assert!(entry.index() < functions.len());
         debug_assert!(functions
             .iter()
             .enumerate()
             .all(|(i, f)| f.id.index() == i && f.first_block <= f.last_block));
-        Program {
+        let mut cfg = Cfg {
             functions,
             blocks,
             entry_function: entry,
+            instructions: 0,
+            body_bytes: 0,
+            branches_by_kind: [0; 6],
+        };
+        for block in &cfg.blocks {
+            cfg.instructions += u64::from(block.num_instrs);
+            cfg.body_bytes += u64::from(block.body_bytes);
+            if let Some(kind) = block.branch_kind() {
+                cfg.branches_by_kind[kind.index()] += 1;
+            }
+        }
+        Program {
+            addrs: vec![Addr::ZERO; cfg.blocks.len()],
+            sizes: cfg.blocks.iter().map(|b| b.body_bytes).collect(),
+            cfg: Arc::new(cfg),
+            op_sites: Vec::new(),
+            op_start: Vec::new(),
+            ops: Vec::new(),
+            op_bytes: 0,
             coalesce_table: Vec::new(),
             coalesce_table_addr: Addr::ZERO,
         }
     }
 
+    /// Whether `self` and `other` are layouts of one shared CFG (as a
+    /// rewritten binary and the pristine program it was rewritten from).
+    pub fn shares_cfg_with(&self, other: &Program) -> bool {
+        Arc::ptr_eq(&self.cfg, &other.cfg)
+    }
+
     /// Number of basic blocks.
     #[inline]
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.cfg.blocks.len()
     }
 
     /// Number of functions.
     #[inline]
     pub fn num_functions(&self) -> usize {
-        self.functions.len()
+        self.cfg.functions.len()
     }
 
     /// The program entry function (the event-loop dispatcher).
     #[inline]
     pub fn entry_function(&self) -> FuncId {
-        self.entry_function
+        self.cfg.entry_function
     }
 
     /// Looks up a block.
@@ -252,13 +274,7 @@ impl Program {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn block(&self, id: BlockId) -> &BasicBlock {
-        &self.blocks[id.index()]
-    }
-
-    /// Mutable block access (used by the rewriter).
-    #[inline]
-    pub fn block_mut(&mut self, id: BlockId) -> &mut BasicBlock {
-        &mut self.blocks[id.index()]
+        &self.cfg.blocks[id.index()]
     }
 
     /// Looks up a function.
@@ -268,12 +284,13 @@ impl Program {
     /// Panics if `id` is out of range.
     #[inline]
     pub fn function(&self, id: FuncId) -> &Function {
-        &self.functions[id.index()]
+        &self.cfg.functions[id.index()]
     }
 
     /// Iterator over all blocks with their ids.
     pub fn blocks(&self) -> impl Iterator<Item = (BlockId, &BasicBlock)> {
-        self.blocks
+        self.cfg
+            .blocks
             .iter()
             .enumerate()
             .map(|(i, b)| (BlockId::new(i as u32), b))
@@ -281,7 +298,118 @@ impl Program {
 
     /// Iterator over all functions.
     pub fn functions(&self) -> impl Iterator<Item = &Function> {
-        self.functions.iter()
+        self.cfg.functions.iter()
+    }
+
+    /// First-byte address of a block in the current layout.
+    #[inline]
+    pub fn addr(&self, id: BlockId) -> Addr {
+        self.addrs[id.index()]
+    }
+
+    /// Total byte size of a block in the current layout, including
+    /// injected ops.
+    #[inline]
+    pub fn size_bytes(&self, id: BlockId) -> u32 {
+        self.sizes[id.index()]
+    }
+
+    /// Bytes of a block's injected prefetch operations.
+    #[inline]
+    pub fn prefetch_bytes(&self, id: BlockId) -> u32 {
+        self.size_bytes(id) - self.block(id).body_bytes
+    }
+
+    /// Address of the first byte after a block (fall-through address).
+    #[inline]
+    pub fn end_addr(&self, id: BlockId) -> Addr {
+        self.addr(id) + u64::from(self.size_bytes(id))
+    }
+
+    /// Address of a block's terminator branch instruction.
+    ///
+    /// For fall-through blocks this is the address of the last instruction
+    /// (which is not a branch); callers should check
+    /// [`BasicBlock::branch_kind`].
+    #[inline]
+    pub fn branch_pc(&self, id: BlockId) -> Addr {
+        let term_bytes = self.block(id).term_bytes.max(1);
+        self.addr(id) + u64::from(self.size_bytes(id) - term_bytes)
+    }
+
+    /// The software prefetch ops injected at the start of a block.
+    #[inline]
+    pub fn prefetch_ops(&self, id: BlockId) -> &[PrefetchOp] {
+        // Every op has a nonzero encoding, so a block without extra bytes
+        // carries none and the site table need not be searched.
+        if self.prefetch_bytes(id) == 0 {
+            return &[];
+        }
+        match self.op_sites.binary_search(&id) {
+            Ok(k) => &self.ops[self.op_start[k] as usize..self.op_start[k + 1] as usize],
+            Err(_) => &[],
+        }
+    }
+
+    /// Blocks carrying injected ops, in id order.
+    #[inline]
+    pub fn op_sites(&self) -> &[BlockId] {
+        &self.op_sites
+    }
+
+    /// Every injected op, grouped by site in id order.
+    #[inline]
+    pub fn all_prefetch_ops(&self) -> &[PrefetchOp] {
+        &self.ops
+    }
+
+    /// Replaces every injected op (rewriter only; re-run the
+    /// [layout](crate::layout) pass afterwards). Each block's ops keep the
+    /// order in which they appear in `ops`.
+    pub fn set_prefetch_ops(&mut self, mut ops: Vec<(BlockId, PrefetchOp)>) {
+        for &site in &self.op_sites {
+            self.sizes[site.index()] = self.cfg.blocks[site.index()].body_bytes;
+        }
+        self.op_sites.clear();
+        self.op_start.clear();
+        self.ops.clear();
+        self.op_bytes = 0;
+        // Stable: a block's ops keep their relative order.
+        ops.sort_by_key(|&(site, _)| site);
+        for (site, op) in ops {
+            debug_assert!(op.encoded_bytes() > 0);
+            if self.op_sites.last() != Some(&site) {
+                self.op_sites.push(site);
+                self.op_start.push(self.ops.len() as u32);
+            }
+            self.sizes[site.index()] += op.encoded_bytes();
+            self.op_bytes += u64::from(op.encoded_bytes());
+            self.ops.push(op);
+        }
+        if !self.ops.is_empty() {
+            self.op_start.push(self.ops.len() as u32);
+        }
+    }
+
+    /// The function table, the block sizes and the block addresses of
+    /// this layout (layout pass only).
+    pub(crate) fn layout_mut(&mut self) -> (&[Function], &[u32], &mut [Addr]) {
+        (&self.cfg.functions, &self.sizes, &mut self.addrs)
+    }
+
+    /// Original instructions over all blocks.
+    pub(crate) fn original_instructions(&self) -> u64 {
+        self.cfg.instructions
+    }
+
+    /// Static branch sites per [`BranchKind`] index.
+    pub(crate) fn branches_by_kind(&self) -> [u64; 6] {
+        self.cfg.branches_by_kind
+    }
+
+    /// Encoded bytes of every injected op.
+    pub(crate) fn op_bytes(&self) -> u64 {
+        self.op_bytes
     }
 
     /// The sorted coalesce table (block ids ordered by branch address).
@@ -329,10 +457,9 @@ impl Program {
                 // Calls and indirect calls land on the callee's entry block.
                 Terminator::Call { callee, .. } => {
                     debug_assert_eq!(*callee, self.block(tb).func);
-                    self.block(self.function(*callee).entry).addr
+                    self.addr(self.function(*callee).entry)
                 }
-                Terminator::IndirectCall { .. } => self.block(tb).addr,
-                _ => self.block(tb).addr,
+                _ => self.addr(tb),
             };
             BranchOutcome::Taken(target_addr)
         } else {
@@ -340,10 +467,10 @@ impl Program {
             BranchOutcome::NotTaken
         };
         Some(BranchRecord {
-            pc: block.branch_pc(),
+            pc: self.branch_pc(id),
             kind,
             outcome,
-            fallthrough: block.end_addr(),
+            fallthrough: self.end_addr(id),
         })
     }
 
@@ -351,13 +478,10 @@ impl Program {
     /// terminator, if any. Used by BTB prefetching, which can only encode
     /// statically known targets.
     pub fn direct_branch_target_addr(&self, id: BlockId) -> Option<Addr> {
-        let block = self.block(id);
-        match &block.term {
-            Terminator::Conditional { taken, .. } => Some(self.block(*taken).addr),
-            Terminator::Jump { target } => Some(self.block(*target).addr),
-            Terminator::Call { callee, .. } => {
-                Some(self.block(self.function(*callee).entry).addr)
-            }
+        match &self.block(id).term {
+            Terminator::Conditional { taken, .. } => Some(self.addr(*taken)),
+            Terminator::Jump { target } => Some(self.addr(*target)),
+            Terminator::Call { callee, .. } => Some(self.addr(self.function(*callee).entry)),
             _ => None,
         }
     }
@@ -376,15 +500,22 @@ impl Program {
     ) -> impl Iterator<Item = BlockId> + '_ {
         let base = line.base();
         let end = line.next().base();
-        // First block whose end extends past the line base.
-        let start = self
-            .blocks
-            .partition_point(|b| b.end_addr() <= base);
-        self.blocks[start..]
+        // First block whose end extends past the line base (a partition
+        // point over the dense layout arrays).
+        let (mut lo, mut hi) = (0, self.num_blocks());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.addrs[mid] + u64::from(self.sizes[mid]) <= base {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.addrs[lo..]
             .iter()
-            .take_while(move |b| b.addr < end)
+            .take_while(move |&&a| a < end)
             .enumerate()
-            .map(move |(i, _)| BlockId::new((start + i) as u32))
+            .map(move |(i, _)| BlockId::new((lo + i) as u32))
     }
 
     /// Blocks whose *terminator branch instruction* lies in the given line,
@@ -394,9 +525,8 @@ impl Program {
         line: twig_types::CacheLineAddr,
     ) -> impl Iterator<Item = (BlockId, twig_types::BranchKind, Option<Addr>)> + '_ {
         self.blocks_overlapping_line(line).filter_map(move |id| {
-            let block = self.block(id);
-            let kind = block.branch_kind()?;
-            if block.branch_pc().line() != line {
+            let kind = self.block(id).branch_kind()?;
+            if self.branch_pc(id).line() != line {
                 return None;
             }
             Some((id, kind, self.direct_branch_target_addr(id)))
@@ -406,8 +536,9 @@ impl Program {
     /// Total text-segment size in bytes (blocks plus coalesce table),
     /// assuming the current layout is packed.
     pub fn text_bytes(&self) -> u64 {
-        let code: u64 = self.blocks.iter().map(|b| u64::from(b.size_bytes())).sum();
-        code + self.coalesce_table.len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES)
+        self.cfg.body_bytes
+            + self.op_bytes
+            + self.coalesce_table.len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES)
     }
 }
 
@@ -419,7 +550,6 @@ mod tests {
         let blocks = vec![
             BasicBlock {
                 func: FuncId::new(0),
-                addr: Addr::new(0x1000),
                 num_instrs: 4,
                 body_bytes: 16,
                 term_bytes: 4,
@@ -428,16 +558,13 @@ mod tests {
                     not_taken: BlockId::new(1),
                     taken_prob: 0.5,
                 },
-                prefetch_ops: Vec::new(),
             },
             BasicBlock {
                 func: FuncId::new(0),
-                addr: Addr::new(0x1010),
                 num_instrs: 2,
                 body_bytes: 8,
                 term_bytes: 2,
                 term: Terminator::Return,
-                prefetch_ops: Vec::new(),
             },
         ];
         let functions = vec![Function {
@@ -446,15 +573,23 @@ mod tests {
             first_block: 0,
             last_block: 2,
         }];
-        Program::from_parts(functions, blocks, FuncId::new(0))
+        let mut p = Program::from_parts(functions, blocks, FuncId::new(0));
+        crate::layout::assign_layout(
+            &mut p,
+            &crate::LayoutOptions {
+                text_base: 0x1000,
+                ..crate::LayoutOptions::default()
+            },
+        );
+        p
     }
 
     #[test]
     fn branch_pc_is_last_instruction() {
         let p = two_block_program();
-        let b = p.block(BlockId::new(0));
-        assert_eq!(b.branch_pc(), Addr::new(0x100c));
-        assert_eq!(b.end_addr(), Addr::new(0x1010));
+        let b = BlockId::new(0);
+        assert_eq!(p.branch_pc(b), Addr::new(0x100c));
+        assert_eq!(p.end_addr(b), Addr::new(0x1010));
     }
 
     #[test]
@@ -479,15 +614,51 @@ mod tests {
     #[test]
     fn prefetch_ops_grow_block() {
         let mut p = two_block_program();
-        let before = p.block(BlockId::new(0)).size_bytes();
-        p.block_mut(BlockId::new(0))
-            .prefetch_ops
-            .push(PrefetchOp::BrPrefetch {
+        let b = BlockId::new(0);
+        let before = p.size_bytes(b);
+        let op = PrefetchOp::BrPrefetch {
+            branch_block: BlockId::new(1),
+        };
+        p.set_prefetch_ops(vec![(b, op)]);
+        assert_eq!(p.size_bytes(b), before + twig_types::BRPREFETCH_BYTES);
+        assert_eq!(p.prefetch_ops(b), &[op]);
+        assert!(p.prefetch_ops(BlockId::new(1)).is_empty());
+        assert_eq!(p.text_bytes(), 24 + u64::from(twig_types::BRPREFETCH_BYTES));
+        // Replacing the ops restores the old sizes.
+        p.set_prefetch_ops(Vec::new());
+        assert_eq!(p.size_bytes(b), before);
+        assert!(p.op_sites().is_empty());
+    }
+
+    #[test]
+    fn ops_keep_their_order_within_a_block() {
+        let mut p = two_block_program();
+        let (a, b) = (BlockId::new(0), BlockId::new(1));
+        let op = |n: u32| PrefetchOp::BrCoalesce {
+            base_index: n,
+            bitmask: 1,
+        };
+        p.set_prefetch_ops(vec![(b, op(0)), (a, op(1)), (b, op(2)), (a, op(3))]);
+        assert_eq!(p.op_sites(), &[a, b]);
+        assert_eq!(p.prefetch_ops(a), &[op(1), op(3)]);
+        assert_eq!(p.prefetch_ops(b), &[op(0), op(2)]);
+        assert_eq!(p.all_prefetch_ops().len(), 4);
+    }
+
+    #[test]
+    fn clones_share_the_cfg_and_own_their_layout() {
+        let p = two_block_program();
+        let mut q = p.clone();
+        assert!(q.shares_cfg_with(&p));
+        q.set_prefetch_ops(vec![(
+            BlockId::new(0),
+            PrefetchOp::BrPrefetch {
                 branch_block: BlockId::new(1),
-            });
-        let b = p.block(BlockId::new(0));
-        assert_eq!(b.size_bytes(), before + twig_types::BRPREFETCH_BYTES);
-        assert_eq!(b.total_instrs(), 5);
+            },
+        )]);
+        assert!(p.prefetch_ops(BlockId::new(0)).is_empty());
+        assert_eq!(p.size_bytes(BlockId::new(0)), 16);
+        assert!(!two_block_program().shares_cfg_with(&p));
     }
 
     #[test]

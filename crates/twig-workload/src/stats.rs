@@ -45,25 +45,17 @@ impl StaticStats {
     /// assert!(stats.total_branches() > 0);
     /// ```
     pub fn of(program: &Program) -> Self {
-        let mut stats = StaticStats {
-            functions: program.num_functions() as u64,
-            ..StaticStats::default()
-        };
-        for (_, block) in program.blocks() {
-            stats.blocks += 1;
-            stats.instructions += u64::from(block.num_instrs);
-            stats.text_bytes += u64::from(block.size_bytes());
-            if let Some(kind) = block.branch_kind() {
-                stats.branches_by_kind[kind.index()] += 1;
-            }
-            stats.prefetch_ops += block.prefetch_ops.len() as u64;
-            stats.prefetch_bytes += u64::from(block.prefetch_bytes());
-        }
         let table_bytes =
             program.coalesce_table().len() as u64 * u64::from(twig_types::COALESCE_ENTRY_BYTES);
-        stats.text_bytes += table_bytes;
-        stats.prefetch_bytes += table_bytes;
-        stats
+        StaticStats {
+            blocks: program.num_blocks() as u64,
+            functions: program.num_functions() as u64,
+            instructions: program.original_instructions(),
+            text_bytes: program.text_bytes(),
+            branches_by_kind: program.branches_by_kind(),
+            prefetch_ops: program.all_prefetch_ops().len() as u64,
+            prefetch_bytes: program.op_bytes() + table_bytes,
+        }
     }
 
     /// Total static branch sites.
@@ -140,7 +132,7 @@ impl WorkingSet {
     pub fn instruction_bytes(&self, program: &Program) -> u64 {
         self.executed_blocks
             .iter()
-            .map(|&b| u64::from(program.block(b).size_bytes()))
+            .map(|&b| u64::from(program.size_bytes(b)))
             .sum()
     }
 

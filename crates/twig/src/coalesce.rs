@@ -7,8 +7,6 @@
 //! *n*-bit bitmask and prefetches every selected entry — amortizing the
 //! instruction-footprint cost over up to *n* BTB entries.
 
-use std::collections::HashMap;
-
 use twig_serde::{Deserialize, Serialize};
 use twig_types::{BlockId, PrefetchOp};
 use twig_workload::Program;
@@ -18,22 +16,22 @@ use twig_workload::Program;
 pub struct CoalescePlan {
     /// Table entries (branch blocks), sorted by branch address.
     pub table: Vec<BlockId>,
-    /// Per injection site: the emitted `brcoalesce` operations.
-    pub ops_per_site: HashMap<BlockId, Vec<PrefetchOp>>,
+    /// The emitted `brcoalesce` operations with their injection sites, in
+    /// assignment order (a site's ops by ascending base index).
+    pub ops: Vec<(BlockId, PrefetchOp)>,
 }
 
 impl CoalescePlan {
     /// Total `brcoalesce` instructions emitted.
     pub fn num_ops(&self) -> usize {
-        self.ops_per_site.values().map(Vec::len).sum()
+        self.ops.len()
     }
 
     /// Total BTB entries reachable through the emitted ops.
     pub fn prefetched_entries(&self) -> u64 {
-        self.ops_per_site
-            .values()
-            .flatten()
-            .map(|op| u64::from(op.prefetch_count()))
+        self.ops
+            .iter()
+            .map(|(_, op)| u64::from(op.prefetch_count()))
             .sum()
     }
 
@@ -80,24 +78,22 @@ pub fn build_coalesce_plan(
         .iter()
         .flat_map(|(_, branches)| branches.iter().copied())
         .collect();
-    table.sort_unstable_by_key(|&b| program.block(b).branch_pc());
+    table.sort_unstable_by_key(|&b| program.branch_pc(b));
     table.dedup();
+    let index_of = |b: BlockId| {
+        let pc = program.branch_pc(b);
+        table
+            .binary_search_by_key(&pc, |&t| program.branch_pc(t))
+            .expect("every assigned branch is in the table") as u32
+    };
 
-    let index_of: HashMap<BlockId, u32> = table
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| (b, i as u32))
-        .collect();
-
-    let mut ops_per_site: HashMap<BlockId, Vec<PrefetchOp>> = HashMap::new();
+    let mut ops = Vec::new();
+    let mut idxs: Vec<u32> = Vec::new();
     for (site, branches) in assignments {
-        if branches.is_empty() {
-            continue;
-        }
-        let mut idxs: Vec<u32> = branches.iter().map(|b| index_of[b]).collect();
+        idxs.clear();
+        idxs.extend(branches.iter().map(|&b| index_of(b)));
         idxs.sort_unstable();
         idxs.dedup();
-        let ops = ops_per_site.entry(*site).or_default();
         let mut i = 0;
         while i < idxs.len() {
             let base = idxs[i];
@@ -106,16 +102,16 @@ pub fn build_coalesce_plan(
                 bitmask |= 1 << (idxs[i] - base);
                 i += 1;
             }
-            ops.push(PrefetchOp::BrCoalesce {
-                base_index: base,
-                bitmask,
-            });
+            ops.push((
+                *site,
+                PrefetchOp::BrCoalesce {
+                    base_index: base,
+                    bitmask,
+                },
+            ));
         }
     }
-    CoalescePlan {
-        table,
-        ops_per_site,
-    }
+    CoalescePlan { table, ops }
 }
 
 #[cfg(test)]
@@ -125,6 +121,15 @@ mod tests {
 
     fn b(n: u32) -> BlockId {
         BlockId::new(n)
+    }
+
+    /// The ops `plan` emits at `site`.
+    fn ops_at(plan: &CoalescePlan, site: BlockId) -> Vec<PrefetchOp> {
+        plan.ops
+            .iter()
+            .filter(|(s, _)| *s == site)
+            .map(|&(_, op)| op)
+            .collect()
     }
 
     fn program() -> Program {
@@ -138,7 +143,7 @@ mod tests {
         let plan = build_coalesce_plan(&p, &[(b(0), branches)], 8);
         for pair in plan.table.windows(2) {
             assert!(
-                p.block(pair[0]).branch_pc() < p.block(pair[1]).branch_pc(),
+                p.branch_pc(pair[0]) < p.branch_pc(pair[1]),
                 "table not sorted"
             );
         }
@@ -173,15 +178,13 @@ mod tests {
         let site_b = (b(5), (10..40).step_by(3).map(b).collect::<Vec<_>>());
         let plan = build_coalesce_plan(&p, &[site_a, site_b], 4);
         // Site A's entry b(60) is far (in table index space) from b(1/2).
-        let a_ops = &plan.ops_per_site[&b(0)];
+        let a_ops = ops_at(&plan, b(0));
         assert!(a_ops.len() >= 2, "{a_ops:?}");
         // All bitmask bits stay within the window width.
-        for ops in plan.ops_per_site.values() {
-            for op in ops {
-                if let PrefetchOp::BrCoalesce { bitmask, .. } = op {
-                    assert!(bitmask.leading_zeros() >= 64 - 4);
-                    assert!(bitmask & 1 == 1, "base entry always selected");
-                }
+        for (_, op) in &plan.ops {
+            if let PrefetchOp::BrCoalesce { bitmask, .. } = op {
+                assert!(bitmask.leading_zeros() >= 64 - 4);
+                assert!(bitmask & 1 == 1, "base entry always selected");
             }
         }
     }
@@ -195,7 +198,8 @@ mod tests {
             8,
         );
         assert_eq!(plan.table.len(), 3);
-        assert_eq!(plan.ops_per_site.len(), 2);
+        assert_eq!(ops_at(&plan, b(0)).len(), 1);
+        assert_eq!(ops_at(&plan, b(1)).len(), 1);
     }
 
     #[test]

@@ -27,19 +27,33 @@ pub fn is_encodable(
     branch: BlockId,
     offset_bits: u32,
 ) -> bool {
-    let Some((to_branch, to_target)) = offsets(program, site, branch) else {
-        return false;
-    };
-    signed_fits(to_branch, offset_bits) && signed_fits(to_target, offset_bits)
+    encodable_from(program, branch, offset_bits)(site)
 }
 
 /// The `(prefetch_to_branch, branch_to_target)` signed byte offsets for a
 /// candidate pair, or `None` when the branch has no static target.
 pub fn offsets(program: &Program, site: BlockId, branch: BlockId) -> Option<(i64, i64)> {
     let target = program.direct_branch_target_addr(branch)?;
-    let site_addr = program.block(site).addr;
-    let branch_pc = program.block(branch).branch_pc();
+    let site_addr = program.addr(site);
+    let branch_pc = program.branch_pc(branch);
     Some((site_addr.offset_to(branch_pc), branch_pc.offset_to(target)))
+}
+
+/// [`is_encodable`] for one `branch` and many candidate sites: the
+/// branch's PC and its branch-to-target fit are computed once, so each
+/// site costs one address lookup.
+pub(crate) fn encodable_from(
+    program: &Program,
+    branch: BlockId,
+    offset_bits: u32,
+) -> impl Fn(BlockId) -> bool + '_ {
+    let branch_pc = program.branch_pc(branch);
+    let target_fits = program
+        .direct_branch_target_addr(branch)
+        .is_some_and(|target| signed_fits(branch_pc.offset_to(target), offset_bits));
+    move |site| {
+        target_fits && signed_fits(program.addr(site).offset_to(branch_pc), offset_bits)
+    }
 }
 
 #[inline]
@@ -115,7 +129,7 @@ fn required_bits(v: i64) -> u32 {
 /// Convenience: the distance helper used when an op's concrete placement
 /// matters (the op sits at the site block's start).
 pub fn op_address(program: &Program, site: BlockId) -> Addr {
-    program.block(site).addr
+    program.addr(site)
 }
 
 #[cfg(test)]
@@ -173,7 +187,7 @@ mod tests {
         let lib_branch = program
             .blocks()
             .find(|(id, b)| {
-                b.addr.raw() > 0x7000_0000_0000
+                program.addr(*id).raw() > 0x7000_0000_0000
                     && b.branch_kind().is_some_and(|k| k.is_direct())
                     && program.direct_branch_target_addr(*id).is_some()
             })

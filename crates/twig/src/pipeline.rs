@@ -180,7 +180,8 @@ impl TwigOptimizer {
     ///
     /// Generation is deterministic, so this produces the same binary as
     /// [`Self::rewrite`] with that program's generator — without re-running
-    /// generation. Sweeps that rewrite the same application once per
+    /// generation. The clone shares the pristine CFG and copies only its
+    /// layout. Sweeps that rewrite the same application once per
     /// configuration point use this with their shared pristine copy.
     pub fn rewrite_of(
         &self,
@@ -507,5 +508,70 @@ mod tests {
         assert!(profile.instructions >= 100_000);
         let plans = optimizer.analyze(&profile);
         assert!(!plans.is_empty());
+    }
+
+    /// Rewrites `spec`'s program from a short profile both ways — from the
+    /// generator and from the pristine copy — and checks that the two
+    /// binaries are equal, that the copy shares the pristine CFG, and that
+    /// dropping it leaves the pristine program as it was.
+    fn check_rewrite_of(spec: WorkloadSpec, sim: SimConfig, budget: u64) {
+        let generator = ProgramGenerator::new(spec);
+        let pristine = generator.generate();
+        let optimizer = TwigOptimizer::default();
+        let profile = optimizer.collect_profile(&pristine, sim, InputConfig::numbered(0), budget);
+        let plans = optimizer.analyze_for(&profile, &pristine);
+        let snapshot = pristine.clone();
+
+        let fresh = optimizer.rewrite(&generator, &plans);
+        let of = optimizer.rewrite_of(&pristine, &generator.layout_options(), &plans);
+        assert!(of.rewrite.brprefetch_ops > 0, "{:?}", of.rewrite);
+        assert!(of.rewrite.brcoalesce_ops > 0, "{:?}", of.rewrite);
+        // Addresses, ops and coalesce table alike.
+        assert_eq!(of, fresh);
+        assert!(of.program.shares_cfg_with(&pristine));
+        assert!(!fresh.program.shares_cfg_with(&pristine));
+
+        drop(of);
+        assert_eq!(pristine, snapshot);
+        assert!(pristine.all_prefetch_ops().is_empty());
+        assert!(pristine.coalesce_table().is_empty());
+    }
+
+    #[test]
+    fn rewrite_of_pristine_equals_rewrite_from_generator() {
+        let spec = WorkloadSpec::tiny_test();
+        let sim = pressured_config(&spec);
+        check_rewrite_of(spec, sim, 60_000);
+    }
+
+    #[test]
+    fn rewrite_of_pristine_equals_rewrite_from_generator_on_a_preset() {
+        // The preset with the smallest text footprint keeps the test quick.
+        let spec = twig_workload::AppId::ALL
+            .iter()
+            .map(|&app| WorkloadSpec::preset(app))
+            .min_by_key(WorkloadSpec::estimated_footprint_bytes)
+            .expect("presets exist");
+        let sim = SimConfig::paper_baseline(spec.backend_extra_cpki);
+        check_rewrite_of(spec, sim, 100_000);
+    }
+
+    #[test]
+    #[should_panic(expected = "already rewritten")]
+    fn rewriting_a_rewritten_binary_panics() {
+        let spec = WorkloadSpec::tiny_test();
+        let generator = ProgramGenerator::new(spec.clone());
+        let pristine = generator.generate();
+        let optimizer = TwigOptimizer::default();
+        let profile = optimizer.collect_profile(
+            &pristine,
+            pressured_config(&spec),
+            InputConfig::numbered(0),
+            60_000,
+        );
+        let plans = optimizer.analyze_for(&profile, &pristine);
+        let layout = generator.layout_options();
+        let optimized = optimizer.rewrite_of(&pristine, &layout, &plans);
+        optimizer.rewrite_of(&optimized.program, &layout, &plans);
     }
 }

@@ -7,14 +7,12 @@
 //! pair that stopped fitting to the coalesce table. Two or three passes
 //! always converge because demotion is monotone.
 
-use std::collections::HashMap;
-
 use twig_serde::{Deserialize, Serialize};
 use twig_types::{BlockId, PrefetchOp};
-use twig_workload::{layout::assign_layout, LayoutOptions, Program, StaticStats};
+use twig_workload::{layout::assign_layout, LayoutOptions, Program};
 
 use crate::analysis::MissPlan;
-use crate::coalesce::build_coalesce_plan;
+use crate::coalesce::{build_coalesce_plan, CoalescePlan};
 use crate::compress::is_encodable;
 use crate::config::TwigConfig;
 
@@ -58,8 +56,9 @@ impl RewriteOutcome {
 /// ops at the selected sites, builds the coalesce table, and re-lays-out
 /// the binary.
 ///
-/// The input program must be op-free (a freshly generated binary); apply
-/// exactly one rewrite per program instance.
+/// The input program must be op-free (a freshly generated binary or a
+/// clone of one); apply exactly one rewrite per program instance. Only the
+/// layout changes: the CFG stays shared with every clone.
 ///
 /// # Panics
 ///
@@ -72,111 +71,101 @@ pub fn apply_rewrite(
 ) -> RewriteOutcome {
     config.validate().expect("invalid twig config");
     assert!(
-        program.blocks().all(|(_, b)| b.prefetch_ops.is_empty()),
+        program.all_prefetch_ops().is_empty(),
         "program was already rewritten"
     );
-    let before = StaticStats::of(program);
+    let text_bytes_before = program.text_bytes();
 
-    // Desired (site -> branches) assignments, respecting per-block budget;
-    // plans arrive hottest-first so the budget favours hot misses.
-    let mut per_site: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
+    // Desired (site, branches) assignments in site order, respecting the
+    // per-block budget; plans arrive hottest-first and the sort is stable,
+    // so the budget favours hot misses.
+    let mut pairs: Vec<(BlockId, BlockId)> = plans
+        .iter()
+        .flat_map(|plan| plan.sites.iter().map(|s| (s.site, plan.branch_block)))
+        .collect();
+    pairs.sort_by_key(|&(site, _)| site);
+    let mut per_site: Vec<(BlockId, Vec<BlockId>)> = Vec::new();
     let mut dropped = 0u64;
-    for plan in plans {
-        for site in &plan.sites {
-            let list = per_site.entry(site.site).or_default();
-            if list.len() < config.max_ops_per_block {
-                list.push(plan.branch_block);
-            } else {
-                dropped += 1;
-            }
+    for (site, branch) in pairs {
+        if per_site.last().map(|&(s, _)| s) != Some(site) {
+            per_site.push((site, Vec::new()));
+        }
+        let list = &mut per_site.last_mut().expect("pushed above").1;
+        if list.len() < config.max_ops_per_block {
+            list.push(branch);
+        } else {
+            dropped += 1;
         }
     }
 
-    // Iterate classification until stable (demotion is monotone).
-    let mut demoted: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-    // Blocks given ops in the previous pass — the only ones that need
-    // clearing before a rebuild (the input program is asserted op-free,
-    // so walking every block of a large binary per pass is pure waste).
-    let mut op_sites: Vec<BlockId> = Vec::new();
+    // Iterate classification until stable (demotion is monotone). Each
+    // site's demoted branches sit at the same index as in `per_site`.
+    let mut demoted: Vec<(BlockId, Vec<BlockId>)> =
+        per_site.iter().map(|&(s, _)| (s, Vec::new())).collect();
     for _pass in 0..3 {
         // Classify against the current layout.
-        let mut direct: HashMap<BlockId, Vec<BlockId>> = HashMap::new();
-        for (&site, branches) in &per_site {
+        let mut direct: Vec<(BlockId, BlockId)> = Vec::new();
+        for ((site, branches), (_, demoted)) in per_site.iter().zip(&mut demoted) {
             for &branch in branches {
-                let already_demoted = demoted
-                    .get(&site)
-                    .is_some_and(|v| v.contains(&branch));
-                if !already_demoted && is_encodable(program, site, branch, config.offset_bits) {
-                    direct.entry(site).or_default().push(branch);
-                } else if !already_demoted {
-                    demoted.entry(site).or_default().push(branch);
+                if demoted.contains(&branch) {
+                    continue;
+                }
+                if is_encodable(program, *site, branch, config.offset_bits) {
+                    direct.push((*site, branch));
+                } else {
+                    demoted.push(branch);
                 }
             }
         }
-        // Rebuild ops from scratch.
-        let assignments: Vec<(BlockId, Vec<BlockId>)> = demoted
-            .iter()
-            .map(|(&s, v)| (s, v.clone()))
-            .collect();
         let coalesce = if config.enable_coalescing {
-            build_coalesce_plan(program, &assignments, config.coalesce_bitmask_bits)
+            build_coalesce_plan(program, &demoted, config.coalesce_bitmask_bits)
         } else {
-            crate::coalesce::CoalescePlan::default()
+            CoalescePlan::default()
         };
-        for id in op_sites.drain(..) {
-            program.block_mut(id).prefetch_ops.clear();
-        }
-        for (&site, branches) in &direct {
-            let ops = &mut program.block_mut(site).prefetch_ops;
-            for &branch in branches {
-                ops.push(PrefetchOp::BrPrefetch {
-                    branch_block: branch,
-                });
-            }
-            op_sites.push(site);
-        }
-        for (site, ops) in &coalesce.ops_per_site {
-            program
-                .block_mut(*site)
-                .prefetch_ops
-                .extend(ops.iter().copied());
-            op_sites.push(*site);
-        }
-        program.set_coalesce_table(coalesce.table.clone());
+        // Rebuild the ops from scratch: a site's `brprefetch`es first,
+        // then its `brcoalesce`s.
+        let ops = direct
+            .iter()
+            .map(|&(site, branch)| {
+                (
+                    site,
+                    PrefetchOp::BrPrefetch {
+                        branch_block: branch,
+                    },
+                )
+            })
+            .chain(coalesce.ops)
+            .collect();
+        program.set_prefetch_ops(ops);
+        program.set_coalesce_table(coalesce.table);
         assign_layout(program, layout);
 
         // Converged when every direct pair still encodes.
-        let stable = direct.iter().all(|(&site, branches)| {
-            branches
-                .iter()
-                .all(|&b| is_encodable(program, site, b, config.offset_bits))
-        });
+        let stable = direct
+            .iter()
+            .all(|&(site, branch)| is_encodable(program, site, branch, config.offset_bits));
         if stable {
             break;
         }
     }
 
     // Account the outcome.
+    let ops = program.all_prefetch_ops();
+    let brcoalesce_ops = ops
+        .iter()
+        .filter(|op| matches!(op, PrefetchOp::BrCoalesce { .. }))
+        .count() as u64;
     let mut outcome = RewriteOutcome {
-        text_bytes_before: before.text_bytes,
-        text_bytes_after: StaticStats::of(program).text_bytes,
+        brprefetch_ops: ops.len() as u64 - brcoalesce_ops,
+        brcoalesce_ops,
         coalesce_entries: program.coalesce_table().len() as u64,
+        injection_sites: program.op_sites().len() as u64,
         dropped_pairs: dropped,
-        ..RewriteOutcome::default()
+        text_bytes_before,
+        text_bytes_after: program.text_bytes(),
     };
-    for (_, block) in program.blocks() {
-        if !block.prefetch_ops.is_empty() {
-            outcome.injection_sites += 1;
-        }
-        for op in &block.prefetch_ops {
-            match op {
-                PrefetchOp::BrPrefetch { .. } => outcome.brprefetch_ops += 1,
-                PrefetchOp::BrCoalesce { .. } => outcome.brcoalesce_ops += 1,
-            }
-        }
-    }
     if !config.enable_coalescing {
-        outcome.dropped_pairs += demoted.values().map(|v| v.len() as u64).sum::<u64>();
+        outcome.dropped_pairs += demoted.iter().map(|(_, v)| v.len() as u64).sum::<u64>();
     }
     outcome
 }
@@ -232,7 +221,7 @@ mod tests {
             outcome.brprefetch_ops + outcome.brcoalesce_ops,
             program
                 .blocks()
-                .map(|(_, b)| b.prefetch_ops.len() as u64)
+                .map(|(id, _)| program.prefetch_ops(id).len() as u64)
                 .sum::<u64>()
         );
         assert!(outcome.added_bytes() > 0);
@@ -242,7 +231,7 @@ mod tests {
         for func in program.functions() {
             let ids: Vec<BlockId> = func.block_ids().collect();
             for pair in ids.windows(2) {
-                assert_eq!(program.block(pair[0]).end_addr(), program.block(pair[1]).addr);
+                assert_eq!(program.end_addr(pair[0]), program.addr(pair[1]));
             }
         }
     }
@@ -256,7 +245,7 @@ mod tests {
         let lib_branches: Vec<BlockId> = program
             .blocks()
             .filter(|(id, b)| {
-                b.addr.raw() > 0x7000_0000_0000
+                program.addr(*id).raw() > 0x7000_0000_0000
                     && b.branch_kind().is_some_and(|k| k.is_direct())
                     && program.direct_branch_target_addr(*id).is_some()
             })
@@ -284,7 +273,7 @@ mod tests {
         let lib_branch = program
             .blocks()
             .find(|(id, b)| {
-                b.addr.raw() > 0x7000_0000_0000
+                program.addr(*id).raw() > 0x7000_0000_0000
                     && b.branch_kind().is_some_and(|k| k.is_direct())
                     && program.direct_branch_target_addr(*id).is_some()
             })
@@ -314,7 +303,7 @@ mod tests {
             ..TwigConfig::default()
         };
         let outcome = apply_rewrite(&mut program, &plans, &config, &g.layout_options());
-        assert!(program.block(site).prefetch_ops.len() <= 3);
+        assert!(program.prefetch_ops(site).len() <= 3);
         assert_eq!(outcome.dropped_pairs, 7);
     }
 

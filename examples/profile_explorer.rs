@@ -41,7 +41,7 @@ fn main() {
         println!(
             "  {} at {}  kind {:<5} missed {} times",
             block,
-            b.branch_pc(),
+            program.branch_pc(*block),
             b.branch_kind().map(|k| k.mnemonic()).unwrap_or("?"),
             count
         );

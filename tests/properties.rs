@@ -142,10 +142,10 @@ proptest! {
         let program = ProgramGenerator::new(spec).generate();
         // Addresses strictly increase with block id.
         let mut prev_end = 0u64;
-        for (_, block) in program.blocks() {
-            prop_assert!(block.addr.raw() >= prev_end);
-            prop_assert!(block.size_bytes() > 0);
-            prev_end = block.end_addr().raw();
+        for (id, _) in program.blocks() {
+            prop_assert!(program.addr(id).raw() >= prev_end);
+            prop_assert!(program.size_bytes(id) > 0);
+            prev_end = program.end_addr(id).raw();
         }
         // A short walk executes without panics and respects bounds.
         for ev in Walker::new(&program, InputConfig::numbered(0)).take(2_000) {
