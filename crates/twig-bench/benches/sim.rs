@@ -4,6 +4,9 @@
 //! stepping, and the cost of the simulation integrity and observability
 //! tiers (`off` must be free; the richer tiers priced).
 
+use std::hint::black_box;
+use std::time::Instant;
+
 use twig_criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use twig_rand::rngs::StdRng;
 use twig_rand::{RngExt, SeedableRng};
@@ -268,8 +271,13 @@ fn bench_integrity_overhead(c: &mut Criterion) {
 ///
 /// Before timing anything, this bench asserts the zero-perturbation
 /// contract: every tier must produce bit-identical statistics —
-/// recording may cost time but must never change the simulation.
+/// recording may cost time but must never change the simulation. It then
+/// asserts the overhead bound: idle-cycle batching stays on under every
+/// tier, so `counters` and `attr` each cost at most
+/// [`MAX_RECORDING_OVERHEAD`] times `off` (fastest of seven alternated
+/// runs each, so a burst of host noise lands on every tier alike).
 fn bench_obs_overhead(c: &mut Criterion) {
+    const MAX_RECORDING_OVERHEAD: f64 = 1.2;
     let mut group = c.benchmark_group("obs_overhead");
     group.sample_size(10);
     let program = ProgramGenerator::new(WorkloadSpec::preset(twig_workload::AppId::Kafka))
@@ -305,6 +313,30 @@ fn bench_obs_overhead(c: &mut Criterion) {
             run(obs),
             reference,
             "observability tier {name} perturbed the simulation",
+        );
+    }
+
+    let bounded: Vec<(&str, ObsConfig)> = tiers
+        .iter()
+        .filter(|(name, _)| matches!(*name, "off" | "counters" | "attr"))
+        .copied()
+        .collect();
+    let mut fastest = [f64::INFINITY; 3];
+    for _ in 0..7 {
+        for (best, &(_, obs)) in fastest.iter_mut().zip(&bounded) {
+            let start = Instant::now();
+            black_box(run(obs));
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    for (i, &(name, _)) in bounded.iter().enumerate().skip(1) {
+        let ratio = fastest[i] / fastest[0];
+        assert!(
+            ratio <= MAX_RECORDING_OVERHEAD,
+            "observability tier {name} costs {ratio:.2}x off \
+             ({:.2} ms vs {:.2} ms), above the {MAX_RECORDING_OVERHEAD}x bound",
+            fastest[i] * 1e3,
+            fastest[0] * 1e3,
         );
     }
 

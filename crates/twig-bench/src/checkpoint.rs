@@ -27,13 +27,12 @@
 
 use std::path::{Path, PathBuf};
 
+use twig_types::crc::crc32;
+
 /// On-disk record format version; bump on any layout or semantic change.
 pub const CHECKPOINT_VERSION: u8 = 1;
 
 const MAGIC: &[u8; 4] = b"TWCK";
-
-/// CRC-32 (ISO-HDLC), shared with the durability layer's journal frames.
-pub use twig_sched::durable::crc32;
 
 /// Serializes one record.
 fn encode_record(key: &str, payload: &[u8]) -> Vec<u8> {

@@ -81,6 +81,21 @@ impl Hist64 {
         self.max = self.max.max(value);
     }
 
+    /// Records `value` with weight `n`: the same state as `n` calls of
+    /// [`record`](Self::record) (the simulator's idle-cycle leap records
+    /// a span of unchanged occupancy this way).
+    #[inline]
+    pub fn record_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(value)] += n;
+        self.count += n;
+        self.sum = self.sum.wrapping_add(value.wrapping_mul(n));
+        self.min = self.min.min(value);
+        self.max = self.max.max(value);
+    }
+
     /// Number of recorded samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -306,6 +321,12 @@ impl MetricsRegistry {
         self.hists[id.0 as usize].1.record(value);
     }
 
+    /// Records one histogram sample `n` times ([`Hist64::record_n`]).
+    #[inline]
+    pub fn record_n(&mut self, id: HistId, value: u64, n: u64) {
+        self.hists[id.0 as usize].1.record_n(value, n);
+    }
+
     /// Current value of a counter.
     pub fn counter_value(&self, id: CounterId) -> u64 {
         self.counters[id.0 as usize].1
@@ -427,6 +448,46 @@ mod tests {
         assert_eq!((b.hi, b.count), (3, 2));
         // The top bucket is closed at u64::MAX.
         assert_eq!(snap.buckets.last().unwrap().hi, u64::MAX);
+    }
+
+    #[test]
+    fn record_n_equals_n_single_records() {
+        // Large values make the `sum` wrap; n = 0 must leave min/max alone.
+        let cases = [
+            (0u64, 5u64),
+            (7, 0),
+            (3, 1),
+            (1 << 62, 9),
+            (u64::MAX, 3),
+            (100, 1000),
+        ];
+        let mut weighted = Hist64::new();
+        let mut single = Hist64::new();
+        for (value, n) in cases {
+            weighted.record_n(value, n);
+            for _ in 0..n {
+                single.record(value);
+            }
+            assert_eq!(weighted, single, "after record_n({value}, {n})");
+        }
+        let exact: u128 = cases
+            .iter()
+            .map(|&(v, n)| u128::from(v) * u128::from(n))
+            .sum();
+        assert!(
+            exact > u128::from(u64::MAX),
+            "the cases must make the sum wrap"
+        );
+        assert_eq!(u128::from(weighted.sum()), exact % (1u128 << 64));
+
+        let mut reg = MetricsRegistry::new();
+        let id = reg.histogram("h");
+        reg.record_n(id, 1 << 63, 3);
+        let mut expected = Hist64::new();
+        for _ in 0..3 {
+            expected.record(1 << 63);
+        }
+        assert_eq!(reg.snapshot().histograms[0], expected.snapshot("h"));
     }
 
     #[test]

@@ -56,6 +56,9 @@ pub struct Confluence {
     /// Lines currently being filled by a stream prefetch (so their
     /// predecoded entries count as prefetched).
     inflight_prefetches: FxHashMap<CacheLineAddr, u64>,
+    /// Emptied entry lists of evicted or re-predecoded lines, reused by
+    /// the next predecode so a fill does not allocate.
+    spare: Vec<Vec<(Addr, AirEntry)>>,
 }
 
 impl Confluence {
@@ -66,6 +69,7 @@ impl Confluence {
             streams: StreamTable::with_defaults(),
             stats: PrefetchBufferStats::default(),
             inflight_prefetches: FxHashMap::default(),
+            spare: Vec::new(),
         }
     }
 
@@ -81,7 +85,7 @@ impl Confluence {
         from_prefetch: bool,
         ctx: &mut FrontendCtx<'_>,
     ) {
-        let mut entries = Vec::new();
+        let mut entries = self.spare.pop().unwrap_or_default();
         for (block, kind, target) in ctx.program.branches_in_line(line) {
             // Indirect branches get their most recent target from the IBTB
             // in the frontend; the AirBTB still identifies them. Direct
@@ -104,9 +108,16 @@ impl Confluence {
                 self.stats.inserted += 1;
             }
         }
-        if !entries.is_empty() {
-            self.lines.insert(line, entries);
+        if entries.is_empty() {
+            self.spare.push(entries);
+        } else if let Some(old) = self.lines.insert(line, entries) {
+            self.recycle(old);
         }
+    }
+
+    fn recycle(&mut self, mut entries: Vec<(Addr, AirEntry)>) {
+        entries.clear();
+        self.spare.push(entries);
     }
 }
 
@@ -176,11 +187,12 @@ impl BtbSystem for Confluence {
 
     fn line_evicted(&mut self, line: CacheLineAddr, _ctx: &mut FrontendCtx<'_>) {
         if let Some(entries) = self.lines.remove(&line) {
-            for (_, e) in entries {
+            for (_, e) in &entries {
                 if e.prefetched_unused {
                     self.stats.evicted_unused += 1;
                 }
             }
+            self.recycle(entries);
         }
     }
 

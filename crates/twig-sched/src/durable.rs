@@ -33,6 +33,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
+use twig_types::crc::crc32;
+
 /// Exit code of a fired crashpoint — distinct from every CLI and harness
 /// exit code (0–6), so drills can tell "the injected crash fired" from
 /// any organic failure.
@@ -177,20 +179,6 @@ pub fn global() -> &'static CrashSpec {
             None => CrashSpec::none(),
         },
     )
-}
-
-/// CRC-32 (ISO-HDLC, the zlib polynomial), bitwise — small inputs only.
-/// Shared by checkpoint records and journal frames.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &byte in bytes {
-        crc ^= u32::from(byte);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
 }
 
 /// The temp-file path [`publish_atomic`] stages `path` under.

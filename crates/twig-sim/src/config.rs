@@ -221,12 +221,13 @@ pub struct SimConfig {
     /// Limit study: every I-cache access hits (Fig. 2).
     pub ideal_icache: bool,
     /// Batch the per-cycle stepping: when every structure the cycle could
-    /// touch is quiescent (per the hot loop's activity mask) and no
-    /// per-cycle instrumentation tier is active, jump straight to the next
-    /// cycle at which any stage can act, bulk-applying the skipped cycles'
-    /// retire-slot accounting. Produces bit-identical statistics to
-    /// cycle-by-cycle stepping (asserted by `tests/sim_behavior.rs`); off
-    /// only for the before/after benchmark groups in `benches/sim.rs`.
+    /// touch is quiescent (per the hot loop's activity mask) and integrity
+    /// sampling is off, jump straight to the next cycle at which any stage
+    /// can act, bulk-applying the skipped cycles' retire-slot accounting
+    /// and occupancy histograms. Produces bit-identical statistics and
+    /// observability output to cycle-by-cycle stepping (asserted by
+    /// `tests/sim_behavior.rs` and `tests/batching_oracle.rs`); off only
+    /// for the before/after benchmark groups in `benches/sim.rs`.
     pub batch_stepping: bool,
     /// Simulation integrity layer: checking tier, watchdog budgets, and
     /// the optional seeded mutation. Defaults from the `TWIG_INTEGRITY`

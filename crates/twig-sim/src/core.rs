@@ -102,14 +102,17 @@ pub struct Simulator<'p, B> {
     /// as the integrity layer).
     obs: Option<Box<ObsState>>,
     /// Windowed time-series state; `None` unless `TWIG_OBS_WINDOW` selects a
-    /// window. Kept separate from `obs` so windowing alone leaves idle-cycle
-    /// batching enabled (it only reads [`SimStats`] at retire boundaries).
+    /// window. Kept separate from `obs` because it records nothing per
+    /// cycle: it only reads [`SimStats`] at retire boundaries.
     timeline: Option<Box<TimelineState>>,
     /// Reused staging buffer for a region's software-prefetch blocks
     /// (copied into the FTQ ring's shared pool on push).
     ops_scratch: Vec<BlockId>,
     /// Reused buffer for the head probe's missed lines.
     line_scratch: Vec<CacheLineAddr>,
+    /// Reused buffers the L1i fill/eviction events drain into.
+    filled_scratch: Vec<(CacheLineAddr, u64)>,
+    evicted_scratch: Vec<CacheLineAddr>,
 }
 
 impl<'p, B: BtbSystem> Simulator<'p, B> {
@@ -139,6 +142,8 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             timeline: TimelineState::from_config(&config.obs),
             ops_scratch: Vec::new(),
             line_scratch: Vec::new(),
+            filled_scratch: Vec::new(),
+            evicted_scratch: Vec::new(),
         };
         if config.integrity.level.differential() {
             sim.ibtb.enable_shadow();
@@ -275,12 +280,15 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
         // sample period) even when the sample period does not divide it.
         let mut next_deep: u64 = 0;
 
-        // Batched stepping is sound only when nothing records per-cycle
-        // state: integrity sampling and the observability histograms both
-        // observe every cycle, so either tier forces cycle-by-cycle
-        // stepping (their identity-vs-off tests double as the oracle that
-        // batching never changes statistics).
-        let batch = self.config.batch_stepping && period.is_none() && self.obs.is_none();
+        // Batched stepping is sound only when nothing observes the skipped
+        // cycles one by one. Integrity sampling does (its sweeps and
+        // watchdogs run on cycle multiples), so it forces cycle-by-cycle
+        // stepping. The observability tiers do not: their only per-cycle
+        // recording is the two occupancy histograms, whose inputs are
+        // constant across a leapt span, so the leap records them once with
+        // the span's weight (`tests/batching_oracle.rs` checks every
+        // observable against unbatched runs).
+        let batch = self.config.batch_stepping && period.is_none();
 
         loop {
             // ---- BPU: advance prediction, fill the FTQ. -----------------
@@ -553,6 +561,15 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
                         self.stats.topdown.bad_speculation += u64::from(retire_width) * bad;
                         self.stats.topdown.frontend_bound +=
                             u64::from(retire_width) * (idle - bad);
+                    }
+                    // Neither occupancy moves until `target`: the leapt
+                    // cycles record the values this cycle just recorded.
+                    if let Some(obs) = self.obs.as_deref_mut() {
+                        let leapt = target - 1 - cycle;
+                        obs.registry
+                            .record_n(obs.ftq_occupancy, ftq.len() as u64, leapt);
+                        obs.registry
+                            .record_n(obs.rob_occupancy, rob_occupancy as u64, leapt);
                     }
                     cycle = target - 1;
                 }
@@ -1190,9 +1207,9 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
 
     /// Reports L1i fills/evictions to the BTB system.
     fn drain_line_events(&mut self, cycle: u64) {
-        let filled = self.mem.take_filled_l1i();
-        let evicted = self.mem.take_evicted_l1i();
-        if filled.is_empty() && evicted.is_empty() {
+        self.mem
+            .drain_line_events_into(&mut self.filled_scratch, &mut self.evicted_scratch);
+        if self.filled_scratch.is_empty() && self.evicted_scratch.is_empty() {
             return;
         }
         let mut ctx = FrontendCtx {
@@ -1200,10 +1217,10 @@ impl<'p, B: BtbSystem> Simulator<'p, B> {
             program: self.program,
             mem: &mut self.mem,
         };
-        for (line, ready_at) in filled {
+        for (line, ready_at) in self.filled_scratch.drain(..) {
             self.system.line_filled(line, ready_at, &mut ctx);
         }
-        for line in evicted {
+        for line in self.evicted_scratch.drain(..) {
             self.system.line_evicted(line, &mut ctx);
         }
     }

@@ -123,6 +123,8 @@ pub struct TageLite {
     provider_memo: Option<ProviderMemo>,
     /// Bumped whenever `history` changes, invalidating the memo.
     history_gen: u64,
+    /// Per-table folded history, indexed like `tables`.
+    folds: [Folds; TAGE_HISTORIES.len()],
 }
 
 /// `(pc, history generation, provider table/index if any)` — the cached
@@ -132,8 +134,28 @@ type ProviderMemo = (u64, u64, Option<(usize, usize)>);
 #[derive(Clone, Debug)]
 struct TageTable {
     entries: Vec<TageEntry>,
-    history_len: u32,
     mask: u64,
+}
+
+/// One table's history window (its last `TAGE_HISTORIES[t]` outcomes)
+/// XOR-folded to the index and tag widths: bit `j` of the window lands on
+/// bit `j % bits`. [`fold_push`] keeps both up to date on every outcome.
+#[derive(Clone, Copy, Debug, Default)]
+struct Folds {
+    index: u64,
+    tag: u64,
+}
+
+/// Advances a `len`-outcome window folded to `bits` bits past one outcome:
+/// the fold rotates left by one, the new outcome enters at bit 0, and the
+/// outcome `leaving` the window is cancelled at bit `len % bits`. Called
+/// with constant `len` and `bits`, so the shifts compile to immediates.
+#[inline(always)]
+fn fold_push(fold: u64, bits: u32, len: u32, leaving: u64, taken: bool) -> u64 {
+    let mut f = (fold << 1) | u64::from(taken);
+    f ^= leaving << (len % bits);
+    f ^= f >> bits;
+    f & ((1u64 << bits) - 1)
 }
 
 #[derive(Clone, Copy, Debug, Default)]
@@ -148,6 +170,7 @@ struct TageEntry {
 // Sized to the paper's 64 KB TAGE-SC-L class: a 64K-entry bimodal base
 // (16 KB at 2 bits) plus 4 x 8K-entry tagged tables (~56 KB at 14 bits).
 const TAGE_TABLE_BITS: u32 = 13;
+const TAGE_TAG_BITS: u32 = 10;
 const TAGE_BASE_BITS: u32 = 16;
 const TAGE_HISTORIES: [u32; 4] = [8, 16, 32, 64];
 
@@ -158,19 +181,21 @@ impl TageLite {
             base: vec![2; 1 << TAGE_BASE_BITS],
             tables: TAGE_HISTORIES
                 .iter()
-                .map(|&h| TageTable {
+                .map(|_| TageTable {
                     entries: vec![TageEntry::default(); 1 << TAGE_TABLE_BITS],
-                    history_len: h,
                     mask: (1 << TAGE_TABLE_BITS) - 1,
                 })
                 .collect(),
             history: 0,
             provider_memo: None,
             history_gen: 0,
+            folds: [Folds::default(); TAGE_HISTORIES.len()],
         }
     }
 
-    #[inline]
+    /// The fold [`fold_push`] maintains, recomputed from the raw history
+    /// (the reference the incremental folds are tested against).
+    #[cfg(test)]
     fn folded_history(&self, bits: u32, out_bits: u32) -> u64 {
         // Every history window fits in 64 bits (`TAGE_HISTORIES` tops out
         // at 64), so the fold runs in native words rather than u128.
@@ -189,14 +214,13 @@ impl TageLite {
     #[inline]
     fn table_index(&self, t: usize, pc: Addr) -> usize {
         let tab = &self.tables[t];
-        let fh = self.folded_history(tab.history_len, TAGE_TABLE_BITS);
+        let fh = self.folds[t].index;
         (((pc.raw() >> 1) ^ fh ^ (pc.raw() >> (TAGE_TABLE_BITS as u64 + 1))) & tab.mask) as usize
     }
 
     #[inline]
     fn table_tag(&self, t: usize, pc: Addr) -> u16 {
-        let tab = &self.tables[t];
-        let fh = self.folded_history(tab.history_len, 10);
+        let fh = self.folds[t].tag;
         ((((pc.raw() >> 1) ^ (fh << 1) ^ (pc.raw() >> 11)) & 0x3ff) as u16) | 0x400
     }
 
@@ -288,6 +312,11 @@ impl DirectionPredictor for TageLite {
             }
         }
 
+        for (fold, &len) in self.folds.iter_mut().zip(&TAGE_HISTORIES) {
+            let leaving = ((self.history >> (len - 1)) & 1) as u64;
+            fold.index = fold_push(fold.index, TAGE_TABLE_BITS, len, leaving, taken);
+            fold.tag = fold_push(fold.tag, TAGE_TAG_BITS, len, leaving, taken);
+        }
         self.history = (self.history << 1) | u128::from(taken);
         self.history_gen += 1;
     }
@@ -321,6 +350,7 @@ impl DirectionPredictor for Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twig_proptest::prelude::*;
 
     fn a(v: u64) -> Addr {
         Addr::new(v)
@@ -397,6 +427,29 @@ mod tests {
             "perceptron"
         );
         assert_eq!(build_predictor(DirectionPredictorKind::Oracle).name(), "oracle");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The incrementally kept folds equal the folds recomputed from the
+        /// raw history after every update, past the point where the
+        /// longest (64-outcome) window starts dropping outcomes.
+        #[test]
+        fn incremental_folds_match_the_reference(
+            stream in prop::collection::vec((0u64..64, any::<bool>()), 1..400),
+        ) {
+            let mut p = TageLite::new();
+            for &(branch, taken) in &stream {
+                let pc = a(0x4000 + branch * 6);
+                p.predict(pc);
+                p.update(pc, taken);
+                for (fold, &len) in p.folds.iter().zip(&TAGE_HISTORIES) {
+                    prop_assert_eq!(fold.index, p.folded_history(len, TAGE_TABLE_BITS));
+                    prop_assert_eq!(fold.tag, p.folded_history(len, TAGE_TAG_BITS));
+                }
+            }
+        }
     }
 
     #[test]

@@ -365,15 +365,18 @@ impl MemoryHierarchy {
         self.track_line_events = on;
     }
 
-    /// Drains the list of lines evicted from L1i since the last call.
-    pub fn take_evicted_l1i(&mut self) -> Vec<CacheLineAddr> {
-        std::mem::take(&mut self.evicted_l1i)
-    }
-
-    /// Drains the list of lines filled into L1i since the last call, each
-    /// with the cycle its bytes arrive (predecode cannot start earlier).
-    pub fn take_filled_l1i(&mut self) -> Vec<(CacheLineAddr, u64)> {
-        std::mem::take(&mut self.filled_l1i)
+    /// Moves the lines filled into L1i since the last call (each with the
+    /// cycle its bytes arrive: predecode cannot start earlier) onto
+    /// `filled`, and the lines evicted from L1i onto `evicted`. Both
+    /// internal lists keep their capacity, so a caller that reuses its
+    /// buffers drains without allocating.
+    pub fn drain_line_events_into(
+        &mut self,
+        filled: &mut Vec<(CacheLineAddr, u64)>,
+        evicted: &mut Vec<CacheLineAddr>,
+    ) {
+        filled.append(&mut self.filled_l1i);
+        evicted.append(&mut self.evicted_l1i);
     }
 
     /// Access statistics so far.
@@ -529,7 +532,9 @@ mod tests {
         let r = m.demand(line(0), t);
         assert_eq!(r.source, FillSource::L2);
         assert_eq!(r.ready_at, t + config.l2_latency);
-        assert!(!m.take_evicted_l1i().is_empty());
+        let (mut filled, mut evicted) = (Vec::new(), Vec::new());
+        m.drain_line_events_into(&mut filled, &mut evicted);
+        assert!(!evicted.is_empty());
     }
 
     #[test]
@@ -558,9 +563,12 @@ mod tests {
         let mut m = mem();
         m.demand(line(0x1000), 0);
         m.prefetch(line(0x2000), 0);
-        let filled = m.take_filled_l1i();
+        let (mut filled, mut evicted) = (Vec::new(), Vec::new());
+        m.drain_line_events_into(&mut filled, &mut evicted);
         assert_eq!(filled.len(), 2);
         assert!(filled.iter().all(|&(_, ready)| ready > 0));
-        assert!(m.take_filled_l1i().is_empty());
+        filled.clear();
+        m.drain_line_events_into(&mut filled, &mut evicted);
+        assert!(filled.is_empty());
     }
 }

@@ -161,10 +161,9 @@ const TIMELINE_TRACKS: [(&str, TrackKind); 10] = [
 
 /// Windowed time-series recording state (`TWIG_OBS_WINDOW`), *separate*
 /// from [`ObsState`] on purpose: windowing only reads the live
-/// [`SimStats`], never mutates simulation state, so `window=N` alone
-/// keeps batched idle-cycle stepping enabled and the simulation results
-/// bit-identical — unlike the counters/trace tiers, whose per-cycle
-/// recording disables batching.
+/// [`SimStats`] at retire boundaries and never mutates simulation state,
+/// so it composes with any recording tier, batched idle-cycle stepping
+/// stays on, and the simulation results stay bit-identical.
 ///
 /// Window boundaries are closed-form: a window closes at the retire
 /// event that carries the cumulative retired-instruction count across

@@ -26,6 +26,7 @@
 mod addr;
 mod branch;
 pub mod config;
+pub mod crc;
 pub mod fxhash;
 mod ids;
 mod prefetch;

@@ -44,7 +44,8 @@ use std::io::{self, Write};
 use std::path::Path;
 
 use twig_bytes::BytesMut;
-use twig_sched::durable::{crc32, publish_atomic_with};
+use twig_sched::durable::publish_atomic_with;
+use twig_types::crc::{crc32, Crc32};
 use twig_types::BlockId;
 
 use crate::mapped::MappedBytes;
@@ -257,17 +258,11 @@ impl<W: Write> ColumnarWriter<W> {
 /// CRC-32 over the concatenation of several slices without materializing
 /// it (the chunk checksum spans header words and four columns).
 fn crc32_concat(parts: &[&[u8]]) -> u32 {
-    let mut crc: u32 = !0;
+    let mut crc = Crc32::new();
     for part in parts {
-        for &byte in *part {
-            crc ^= u32::from(byte);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
+        crc.update(part);
     }
-    !crc
+    crc.finish()
 }
 
 /// Encodes events into an in-memory `.twgc` buffer (tests, benches).
